@@ -106,6 +106,8 @@ def cmd_evolve(cfg):
         "mu": params.mu, "rate": None, "fit_amplitude": None,
         "growth_rate": None, "xnorm_mu": None,
         "aborted_at": None if abort is None else float(traj.taus[-1]),
+        "T_lin": traj.tuning[0].T if traj.tuning else None,
+        "tuning": [step._asdict() for step in traj.tuning],
     }
     span = float(traj.taus[-1] - traj.taus[0])
     window = (min(2.0, 0.5 * span), float(traj.taus[-1]) - min(1.0, 0.2 * span))
@@ -215,8 +217,9 @@ def build_parser():
                            "the last sample (CSV t,r,psi,psi_t)")
     tune = p_ev.add_mutually_exclusive_group()
     tune.add_argument("--tune-T", dest="tune", action="store_true",
-                      help="bisect the blow-up time to suppress the "
-                           "unstable mode")
+                      help="tune the blow-up time to suppress the unstable "
+                           "mode (Brent's method from the linear "
+                           "prediction)")
     tune.add_argument("--no-tune", dest="tune", action="store_false")
     p_ev.set_defaults(tune=False)
 

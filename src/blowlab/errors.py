@@ -38,7 +38,7 @@ class AmplitudeAbort(PerturbationTooLarge):
     """The evolved perturbation left the unit ball (smallness regime).
 
     Carries the partial trajectory so callers (e.g. the blow-up-time
-    bisection) can classify the run by the sign of the unstable mode at the
+    search) can classify the run by the sign of the unstable mode at the
     abort time.
     """
 
@@ -48,4 +48,6 @@ class AmplitudeAbort(PerturbationTooLarge):
 
 
 class NoSignChangeError(PerturbationTooLarge):
-    """Bisection bracket does not straddle a sign change of the target."""
+    """The blow-up-time search found no sign change of the unstable-mode
+    coefficient: the bracket grown from the linear prediction to the edges
+    of (1/2, 3/2) never straddles one."""

@@ -9,12 +9,13 @@ stability region of the assembled operator, which admits substantially
 larger steps on Chebyshev grids.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
-tuning by bisection, a Duhamel-identity residual check against the matrix
-exponential, and an independent physical-space leapfrog solver used for
-cross-validation.
+tuning by Brent's method from the linear prediction of T, a
+Duhamel-identity residual check against the matrix exponential, and an
+independent physical-space leapfrog solver used for cross-validation.
 """
 
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,14 +23,21 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
-                     NoSignChangeError, OverflowAbort, StepSizeError)
+                     NoSignChangeError, NonConvergenceError, OverflowAbort,
+                     StepSizeError)
 from .grid import bary_interp
 from .model import State, avg_A, nonlin_N
-from .spectral import riesz_projection, state_norm
+from .spectral import riesz_projection, state_inner, state_norm
 
 _SAMPLE_DTAU = 0.1
 _OVERFLOW_LIMIT = 1e12
 _AMPLITUDE_LIMIT = 1.0
+# U_map needs T strictly inside (1/2, 3/2)
+_T_DOMAIN = (0.5 + 1e-9, 1.5 - 1e-9)
+# root-finder tolerances at their floating-point limits, and its budget
+_XTOL = np.finfo(float).tiny
+_RTOL = 4.0 * np.finfo(float).eps
+_MAXITER = 100
 
 
 def default_dtau(grid):
@@ -85,9 +93,23 @@ def _rhs_vec(u, ops, grid, params, nonlinear):
     return out
 
 
+class TuneStep(NamedTuple):
+    """One evaluation of the tuning target: the blow-up time T, the
+    unstable coefficient a read from its run, the abort tau (None for a run
+    that reached tau_end) and the wall seconds the run took."""
+
+    T: float
+    a: float
+    abort_tau: object
+    seconds: float
+
+
 @dataclass
 class Trajectory:
-    """Sampled evolution: (tau, State, L2 norm, unstable coefficient)."""
+    """Sampled evolution: (tau, State, L2 norm, unstable coefficient).
+
+    A run returned by tune_T also carries its search history in `tuning`.
+    """
 
     taus: np.ndarray
     states: list
@@ -96,6 +118,7 @@ class Trajectory:
     params: object
     grid_n: int
     nonlinear: bool = True
+    tuning: tuple = ()
 
     @property
     def samples(self):
@@ -121,10 +144,7 @@ def unstable_coefficient(state, projection, grid):
             f"projection rank {projection.rank} out of range: need rank 1")
     g = projection.g_vector
     pu = projection.P @ state.stacked()
-    n = grid.n
-    num = float(grid.w @ (pu[:n] * g[:n] + pu[n:] * g[n:]))
-    den = float(grid.w @ (g[:n] ** 2 + g[n:] ** 2))
-    return num / den
+    return state_inner(grid, pu, g) / state_inner(grid, g, g)
 
 
 def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
@@ -243,69 +263,148 @@ def growth_fit(taus, values, tau_window):
     return float(np.polyfit(taus[mask], np.log(values[mask]), 1)[0])
 
 
-def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None,
-           bracket=(0.8, 1.2), ttol=1e-10):
-    """Suppress the unstable mode by bisecting the blow-up time T.
+def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None):
+    """Suppress the unstable mode by a root-find on the blow-up time T.
 
-    For each candidate T the nonlinear system is evolved from U(v, T) and
-    the sign of the unstable coefficient is read at tau_end - 1, or at the
-    abort time for runs that leave the smallness regime (their sign is
-    already decided by the dominant mode).  The bracket widens once to
-    (1/2, 3/2) if the initial one does not straddle a sign change.
+    The target is the unstable coefficient of the nonlinear run from
+    U(v, T), read at tau_end - 1, or at the abort time for runs that leave
+    the smallness regime (their sign is already decided by the dominant
+    mode).  The search starts at the linear prediction T_lin, the zero of
+    the unstable coefficient of U(v, T) itself, which costs no integration
+    (T = 1 if that coefficient has no zero in (1/2, 3/2)).  The run at
+    T_lin is one end of the bracket; the other starts 1e-6 away, on the
+    side where the prediction puts the zero, and widens ten-fold up to the
+    edge of (1/2, 3/2), then tries the opposite edge, until the target
+    changes sign.  Brent's method then finds the zero to floating-point
+    precision.  Each T is integrated at most once: the tuned run is the
+    one Brent's method evaluated at T_star.
 
-    Returns (T_star, trajectory of the tuned run).
+    Returns (T_star, trajectory of the tuned run).  The trajectory's
+    `tuning` holds one TuneStep per target evaluation, in order; the first
+    is at T_lin.
     """
     from .model import U_map, params_new
 
     if projection is None:
         projection = riesz_projection(ops)
     tau_probe = tau_end - 1.0
+    lo, hi = _T_DOMAIN
 
-    def sign_target(T):
+    def initial(T):
         pT = params_new(params.p, T=T, eps=params.eps)
-        init = U_map(v, T, pT, grid)
-        try:
-            traj = integrate(init, tau_end, ops, grid, pT,
-                             nonlinear=True, dtau=dtau, projection=projection)
-        except AmplitudeAbort as abort:
-            traj = abort.trajectory
-            return traj.unstable_coeffs[-1]
-        idx = int(np.argmin(np.abs(traj.taus - tau_probe)))
-        return traj.unstable_coeffs[idx]
+        return pT, U_map(v, T, pT, grid)
 
-    lo, hi = bracket
-    s_lo, s_hi = sign_target(lo), sign_target(hi)
-    if s_lo == 0.0:
-        lo = hi = lo
-    elif s_hi == 0.0:
-        lo = hi = hi
-    elif s_lo * s_hi > 0.0:
-        lo, hi = 0.5 + 1e-9, 1.5 - 1e-9
-        s_lo, s_hi = sign_target(lo), sign_target(hi)
-        if s_lo * s_hi > 0.0:
+    def predicted(T):
+        return unstable_coefficient(initial(T)[1], projection, grid)
+
+    runs = {}      # T -> (TuneStep, trajectory, AmplitudeAbort or None)
+
+    def target(T):
+        if T not in runs:
+            start = time.perf_counter()
+            pT, init = initial(T)
+            try:
+                traj = integrate(init, tau_end, ops, grid, pT, nonlinear=True,
+                                 dtau=dtau, projection=projection)
+            except AmplitudeAbort as exc:
+                traj, abort = exc.trajectory, exc
+                a, abort_tau = traj.unstable_coeffs[-1], float(traj.taus[-1])
+            else:
+                abort = abort_tau = None
+                a = traj.unstable_coeffs[
+                    int(np.argmin(np.abs(traj.taus - tau_probe)))]
+            step = TuneStep(T=T, a=float(a), abort_tau=abort_tau,
+                            seconds=time.perf_counter() - start)
+            runs[T] = (step, traj, abort)
+        return runs[T][0].a
+
+    pred_lo, pred_hi = predicted(lo), predicted(hi)
+    T_lin = _brentq(predicted, lo, hi) if pred_lo * pred_hi <= 0.0 else 1.0
+    a_lin = target(T_lin)
+    T_star = T_lin
+    if a_lin != 0.0:
+        toward_zero = -1.0 if (a_lin > 0.0) == (pred_hi > pred_lo) else 1.0
+        for T_far in _bracket_ends(T_lin, toward_zero):
+            if target(T_far) * a_lin <= 0.0:
+                break
+        else:
             raise NoSignChangeError(
                 "tune_T: unstable-mode coefficient does not change sign over "
                 "T in (1/2, 3/2); perturbation too large")
-    while hi - lo > ttol:
-        mid = 0.5 * (lo + hi)
-        s_mid = sign_target(mid)
-        if s_mid == 0.0:
-            lo = hi = mid
-            break
-        if s_lo * s_mid < 0.0:
-            hi, s_hi = mid, s_mid
-        else:
-            lo, s_lo = mid, s_mid
-    if lo < hi and s_hi != s_lo:
-        # one secant step on the final bracket; the target is smooth in T,
-        # so this removes almost all of the leftover unstable residual
-        T_star = min(max(lo - s_lo * (hi - lo) / (s_hi - s_lo), lo), hi)
-    else:
-        T_star = 0.5 * (lo + hi)
-    p_star = params_new(params.p, T=T_star, eps=params.eps)
-    traj = integrate(U_map(v, T_star, p_star, grid), tau_end, ops, grid,
-                     p_star, nonlinear=True, dtau=dtau, projection=projection)
+        T_star = _brentq(target, min(T_lin, T_far), max(T_lin, T_far))
+    _, traj, abort = runs[T_star]
+    if abort is not None:
+        raise abort
+    traj.tuning = tuple(step for step, _, _ in runs.values())
     return T_star, traj
+
+
+def _brentq(f, xa, xb):
+    """Zero of f on [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973) in the form of scipy.optimize.brentq, with xtol and rtol at their
+    floating-point limits.
+
+    It evaluates f at the same points as scipy.optimize.brentq and returns
+    the same root, but costs no import of scipy.optimize, whose modules
+    take about 20 MB of resident memory.  The root returned is always a
+    point where f was evaluated.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)    # secant
+            else:                             # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise NonConvergenceError(
+        f"brentq: no convergence in {_MAXITER} iterations on [{xa}, {xb}]")
+
+
+def _bracket_ends(T_lin, direction):
+    """Candidate far ends of the tuning bracket: T_lin + direction * 1e-6,
+    the offset growing ten-fold and clipped to the tuning domain, then the
+    domain's opposite edge."""
+    lo, hi = _T_DOMAIN
+    offset = 1e-6
+    while True:
+        T = min(max(T_lin + direction * offset, lo), hi)
+        yield T
+        if T in (lo, hi):
+            break
+        offset *= 10.0
+    yield hi if direction < 0.0 else lo
 
 
 def duhamel_residual(traj, ops, grid, params, tau_max=3.0):
@@ -366,14 +465,13 @@ def correction_residual(traj, grid, params, projection):
     """
     n = grid.n
     g = projection.g_vector
-    den = float(grid.w @ (g[:n] ** 2 + g[n:] ** 2))
+    den = state_inner(grid, g, g)
     taus = traj.taus - traj.taus[0]
     vals = np.empty(taus.size)
     for j, st in enumerate(traj.states):
         nl = np.zeros(2 * n)
         nl[:n] = grid.nodes * nonlin_N(params, avg_A(grid, st.phi2))
-        pnl = projection.P @ nl
-        coeff = float(grid.w @ (pnl[:n] * g[:n] + pnl[n:] * g[n:])) / den
+        coeff = state_inner(grid, projection.P @ nl, g) / den
         vals[j] = np.exp(-taus[j]) * coeff
     integral = float(np.trapezoid(vals, taus))
     return abs(traj.unstable_coeffs[0] + integral)

@@ -83,6 +83,12 @@ def test_evolve_tuned_summary(tmp_path):
     summary = json.loads((tmp_path / "t.summary.json").read_text())
     assert 0.9 < summary["T_star"] < 1.1
     assert summary["rate"] is not None and summary["rate"] >= 0.35
+    tuning = summary["tuning"]
+    assert 2 <= len(tuning) <= 8
+    assert tuning[0]["T"] == summary["T_lin"]
+    # Brent's method ends with a step of its tolerance past the root and
+    # returns its best point, which need not be the last one evaluated
+    assert summary["T_star"] in [step["T"] for step in tuning]
 
 
 def test_energy_slope(tmp_path):

@@ -10,6 +10,7 @@ from blowlab import evolve as ev
 from blowlab import model as md
 from blowlab import spectral as sp
 from blowlab.errors import (AmplitudeAbort, DegenerateFitError, DomainError,
+                            NoSignChangeError, NonConvergenceError,
                             StepSizeError)
 from conftest import cached_grid, cached_ops, cached_params, cached_projection
 
@@ -179,28 +180,76 @@ def test_linear_decay_on_stable_subspace():
     assert rate >= abs(params.omega) - 0.15
 
 
-def test_tune_T_zero_data_returns_one():
+def _count_integrations(monkeypatch):
+    """Wrap ev.integrate; the returned list collects the blow-up time T of
+    each call."""
+    calls = []
+    integrate = ev.integrate
+
+    def counted(initial, tau_end, ops, grid, params, **kwargs):
+        calls.append(params.T)
+        return integrate(initial, tau_end, ops, grid, params, **kwargs)
+
+    monkeypatch.setattr(ev, "integrate", counted)
+    return calls
+
+
+def test_tune_T_zero_data_returns_one(monkeypatch):
     params, grid, ops, proj = _setup()
     gdata = cached_grid(48, 1.5)
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
+    calls = _count_integrations(monkeypatch)
     t_star, traj = ev.tune_T(zero, params, 5.0, grid, ops, projection=proj,
                              dtau=1.5e-3)
     assert abs(t_star - 1.0) <= 1e-9
     assert traj.norms.max() <= 1e-9
+    assert len(calls) <= 2
 
 
-def test_tune_T_small_perturbation_decays():
+def test_tune_T_small_perturbation_decays(monkeypatch):
     params, grid, ops, proj = _setup()
     gdata = cached_grid(48, 1.5)
     rng = np.random.default_rng(42)
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
+    calls = _count_integrations(monkeypatch)
     t_star, traj = ev.tune_T(v, params, 8.0, grid, ops, projection=proj,
                              dtau=1.5e-3)
     assert 0.5 < t_star < 1.5
     assert traj.norms[-1] < traj.norms[0]
     resid = ev.correction_residual(traj, grid, params, proj)
     assert resid <= 1e-4
+    # the search integrates each T once and records every integration
+    assert len(calls) <= 8
+    assert [step.T for step in traj.tuning] == calls
+    assert len(set(calls)) == len(calls)
+    assert t_star in calls
+
+
+def test_tune_T_no_sign_change_raises(monkeypatch):
+    params, grid, ops, proj = _setup()
+    gdata = cached_grid(48, 1.5)
+    # data of unit size: the linear prediction has no zero in (1/2, 3/2)
+    # and every run leaves the unit ball at once
+    rng = np.random.default_rng(2)
+    fg = md.random_polynomial_data(gdata, rng, params, amplitude=1.0)
+    with pytest.raises(NoSignChangeError):
+        ev.tune_T(md.data_to_v(fg, params), params, 5.0, grid, ops,
+                  projection=proj, dtau=1.5e-3)
+
+    zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
+    partial = ev.Trajectory(taus=np.array([0.0, 0.1]), states=[],
+                            norms=np.array([0.5, 2.0]),
+                            unstable_coeffs=np.array([0.5, 2.0]),
+                            params=params, grid_n=48)
+
+    def always_grows(*args, **kwargs):
+        raise AmplitudeAbort("left the unit ball", trajectory=partial)
+
+    monkeypatch.setattr(ev, "integrate", always_grows)
+    with pytest.raises(NoSignChangeError):
+        ev.tune_T(zero, params, 5.0, grid, ops, projection=proj,
+                  dtau=1.5e-3)
 
 
 def test_tune_T_derivative_sign_at_one():
@@ -315,3 +364,33 @@ def test_trajectory_csv_format(tmp_path):
     assert len(lines) == tr.taus.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) > 0.0
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.expm1(40.0 * (x - 1.0)) - 1e-3, 0.5, 1.5),
+    (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0),
+    (lambda x: (x - 1.0) ** 3, 0.3, 1.9),   # a triple root: neither converges
+])
+def test_brentq_matches_scipy(f, a, b):
+    """The in-house Brent's method is scipy.optimize.brentq: the same
+    evaluation points, the same root, the same failure."""
+    from scipy.optimize import brentq
+
+    ours, theirs = [], []
+
+    def logged(points):
+        def g(x):
+            points.append(x)
+            return f(x)
+        return g
+
+    try:
+        ref = brentq(logged(theirs), a, b, xtol=ev._XTOL, rtol=ev._RTOL)
+    except RuntimeError:
+        with pytest.raises(NonConvergenceError):
+            ev._brentq(logged(ours), a, b)
+    else:
+        assert ev._brentq(logged(ours), a, b) == ref
+    assert ours == theirs
