@@ -12,9 +12,8 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      PerturbationTooLarge, SolverError, StepSizeError)
 from .evolve import (OracleSample, Trajectory, TuneStep, decay_fit,
-                     default_dtau, duhamel_residual, integrate,
-                     physical_oracle, rhs, stable_dtau, tune_T,
-                     unstable_coefficient)
+                     duhamel_residual, integrate, physical_oracle, rhs,
+                     stable_dtau, tune_T, unstable_coefficient)
 from .grid import Grid, bary_interp, build_grid
 from .model import (DataPair, Params, RadialPair, State, U_map, avg_A,
                     data_to_v, energy_norm, nonlin_N, nonlin_n, params_new,

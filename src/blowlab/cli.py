@@ -81,6 +81,7 @@ def cmd_evolve(cfg):
     ops = sp.assemble_L(grid, params)
     proj = sp.riesz_projection(ops)
     dtau = cfg.dtau if cfg.dtau is not None else ev.stable_dtau(ops)
+    nsub, h = ev.substeps(dtau)
     v = _seeded_data(cfg, params)
     t_star = None
     abort = None
@@ -108,6 +109,8 @@ def cmd_evolve(cfg):
         "aborted_at": None if abort is None else float(traj.taus[-1]),
         "T_lin": traj.tuning[0].T if traj.tuning else None,
         "tuning": [step._asdict() for step in traj.tuning],
+        "integrator": {"scheme": ev.SCHEME, "substep": h,
+                       "steps": nsub * (len(traj.taus) - 1)},
     }
     span = float(traj.taus[-1] - traj.taus[0])
     window = (min(2.0, 0.5 * span), float(traj.taus[-1]) - min(1.0, 0.2 * span))
@@ -211,7 +214,8 @@ def build_parser():
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
     p_ev.add_argument("--dtau", type=float, default=None,
-                      help="RK4 step (default: largest stable step)")
+                      help="Lawson RK4 step, at most 0.1 (default: 0.0125, "
+                           "8 steps per 0.1 sample)")
     p_ev.add_argument("--field-out", type=str, default="",
                       help="also write the reconstructed physical field at "
                            "the last sample (CSV t,r,psi,psi_t)")

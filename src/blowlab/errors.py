@@ -11,7 +11,8 @@ class DomainError(ValueError):
 
 
 class StepSizeError(DomainError):
-    """Requested time step violates the stability bound of the integrator."""
+    """Requested time step is not positive or exceeds the 0.1 spacing of
+    the trajectory's samples."""
 
 
 class DegenerateFitError(DomainError):

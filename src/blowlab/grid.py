@@ -91,10 +91,6 @@ class Grid:
     w: np.ndarray       # quadrature weights, (n,)
     bary: np.ndarray    # barycentric interpolation weights, (n,)
 
-    @property
-    def min_spacing(self):
-        return float(np.min(np.diff(self.nodes)))
-
     def integrate(self, u):
         """Quadrature integral of a grid function over [0, length]."""
         return float(self.w @ np.asarray(u))

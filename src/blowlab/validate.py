@@ -95,11 +95,6 @@ def suite_specfun(seed=0):
     return out
 
 
-def _operator_nonlin(params, grid, u):
-    """rho * N(A u), the L2 form of the nonlinearity."""
-    return grid.nodes * md.nonlin_N(params, md.avg_A(grid, u))
-
-
 def suite_lipschitz(params, grid, seed=0, npairs=200):
     """Nonlinearity estimates: vanishing at zero, quadratic bound, and the
     sampled Lipschitz property with a single fitted constant."""
@@ -123,7 +118,8 @@ def suite_lipschitz(params, grid, seed=0, npairs=200):
         amp_u = 10.0 ** rng.uniform(-1.7, 0.0)
         amp_v = 10.0 ** rng.uniform(-1.7, 0.0)
         u, v = sample(amp_u), sample(amp_v)
-        nu, nv = _operator_nonlin(params, grid, u), _operator_nonlin(params, grid, v)
+        nu = ev.nonlinear_term(grid, params, u)[:grid.n]
+        nv = ev.nonlinear_term(grid, params, v)[:grid.n]
         c1 = max(c1, norm(nu) / norm(u) ** 2)
         diff = norm(u - v)
         if diff > 1e-12:
@@ -334,7 +330,7 @@ def suite_evolve(params, seed=0, tau_end=8.0):
     e_fine = sp.state_norm(g32, ev.integrate(
         smooth, 1.0, ops32, g32, p3, dtau=2e-3, **kw).states[-1].stacked()
         - ref.states[-1].stacked())
-    out.append(_interval("evolve", "rk4_richardson_ratio",
+    out.append(_interval("evolve", "richardson_ratio",
                          e_coarse / e_fine, 12.0, 20.0))
 
     # tuned run: weighted boundedness, early attainment, zero-correction

@@ -72,7 +72,7 @@ def test_evolve_untuned_growth_aborts_with_partial_output(tmp_path):
 
 def test_evolve_overlarge_step_is_domain_error(tmp_path):
     assert run(["evolve", "--p", "3", "--n", "96", "--amplitude", "0",
-                "--tau-end", "1", "--dtau", "0.05",
+                "--tau-end", "1", "--dtau", "0.5",
                 "--out", str(tmp_path / "d.csv")]) == 2
 
 
@@ -89,6 +89,8 @@ def test_evolve_tuned_summary(tmp_path):
     # Brent's method ends with a step of its tolerance past the root and
     # returns its best point, which need not be the last one evaluated
     assert summary["T_star"] in [step["T"] for step in tuning]
+    assert summary["integrator"] == {"scheme": "lawson-rk4",
+                                     "substep": 0.0125, "steps": 8 * 60}
 
 
 def test_energy_slope(tmp_path):

@@ -1,7 +1,10 @@
-"""Time evolution: RK4 stepping, fits, blow-up-time tuning, Duhamel check,
-physical-space cross-validation."""
+"""Time evolution: Lawson RK4 stepping and its matrix exponential, fits,
+blow-up-time tuning, Duhamel check, physical-space cross-validation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,9 +65,33 @@ def test_integrate_symmetry_mode_grows_exponentially():
 def test_integrate_step_size_guard():
     params, grid, ops, proj = _setup(n=96)
     gsym = sp.symmetry_mode(grid, params)
-    with pytest.raises(StepSizeError):
-        ev.integrate(gsym, 1.0, ops, grid, params, nonlinear=False,
-                     dtau=5e-3, projection=proj)
+    for dtau in (0.5, 0.0):
+        with pytest.raises(StepSizeError):
+            ev.integrate(gsym, 1.0, ops, grid, params, nonlinear=False,
+                         dtau=dtau, projection=proj)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 96])
+@pytest.mark.parametrize("p", [1.25, 2.0, 3.0])
+def test_expm_matches_scipy(n, p):
+    from scipy.linalg import expm
+
+    ops = cached_ops(p, n)
+    # h = 1e-4 takes the unscaled branch, the others scale and square
+    for h in (1e-4, 0.00625, 0.1):
+        ref = expm(h * ops.L)
+        err = np.abs(ev._expm(h * ops.L) - ref).sum(axis=0).max()
+        assert err <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, blowlab; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = os.path.dirname(os.path.dirname(ev.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_integrate_superposition_linear():
