@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,81 +28,65 @@ from .errors import (AmplitudeAbort, DomainError, PerturbationTooLarge,
 from .grid import build_grid
 
 
-@dataclass
-class RunConfig:
-    p: float = 3.0
-    n: int = 96
-    eps: float = 0.1
-    tau_end: float = 10.0
-    amplitude: float = 1e-3
-    seed: int = 0
-    out: str = ""
-    T: float = 1.0
-    tune: bool = False
-    halfplane: float = None
-    dtau: float = None
-    field_out: str = ""
-
-
 def _summary_path(out):
     stem = out.rsplit(".", 1)[0] if "." in out else out
     return stem + ".summary.json"
 
 
-def cmd_spectrum(cfg):
-    params = md.params_new(cfg.p, eps=cfg.eps)
-    coarse = build_grid(cfg.n)
-    fine = build_grid(int(math.ceil(1.5 * cfg.n)))
+def cmd_spectrum(args):
+    params = md.params_new(args.p, eps=args.eps)
+    coarse = build_grid(args.n)
+    fine = build_grid(int(math.ceil(1.5 * args.n)))
     ops = sp.assemble_L(coarse, params)
     report = sp.discrete_eigenvalues(ops, (coarse, fine),
-                                     halfplane=cfg.halfplane)
-    out = cfg.out or "spectrum.json"
+                                     halfplane=args.halfplane)
+    out = args.out or "spectrum.json"
     with open(out, "w") as fh:
         fh.write(report.to_json() + "\n")
     stable = report.stable_eigenvalues()
-    print(f"spectrum: p={cfg.p} n={coarse.n}/{fine.n} "
+    print(f"spectrum: p={args.p} n={coarse.n}/{fine.n} "
           f"analytic={report.analytic} stable={len(stable)} "
           f"projection_rank={report.projection_rank} -> {out}")
     return 0
 
 
-def _seeded_data(cfg, params):
-    gdata = build_grid(cfg.n, 1.5)
-    rng = np.random.default_rng(cfg.seed)
+def _seeded_data(args, params):
+    gdata = build_grid(args.n, 1.5)
+    rng = np.random.default_rng(args.seed)
     fg = md.random_polynomial_data(gdata, rng, params,
-                                   amplitude=cfg.amplitude)
+                                   amplitude=args.amplitude)
     return md.data_to_v(fg, params)
 
 
-def cmd_evolve(cfg):
-    params = md.params_new(cfg.p, T=cfg.T, eps=cfg.eps)
-    grid = build_grid(cfg.n)
+def cmd_evolve(args):
+    params = md.params_new(args.p, T=args.T, eps=args.eps)
+    grid = build_grid(args.n)
     ops = sp.assemble_L(grid, params)
     proj = sp.riesz_projection(ops)
-    dtau = cfg.dtau if cfg.dtau is not None else ev.stable_dtau(ops)
+    dtau = args.dtau if args.dtau is not None else ev.stable_dtau(ops)
     nsub, h = ev.substeps(dtau)
-    v = _seeded_data(cfg, params)
+    v = _seeded_data(args, params)
     t_star = None
     abort = None
-    if cfg.tune:
-        t_star, traj = ev.tune_T(v, params, cfg.tau_end, grid, ops,
+    if args.tune:
+        t_star, traj = ev.tune_T(v, params, args.tau_end, grid, ops,
                                  projection=proj, dtau=dtau)
     else:
-        init = md.U_map(v, cfg.T, params, grid)
+        init = md.U_map(v, args.T, params, grid)
         try:
-            traj = ev.integrate(init, cfg.tau_end, ops, grid, params,
+            traj = ev.integrate(init, args.tau_end, ops, grid, params,
                                 nonlinear=True, dtau=dtau, projection=proj)
         except AmplitudeAbort as exc:
             # untuned runs grow like e^tau; keep the partial trajectory so
             # the growth rate stays measurable, then report the abort
             traj = exc.trajectory
             abort = exc
-    out = cfg.out or "trajectory.csv"
+    out = args.out or "trajectory.csv"
     traj.to_csv(out)
     summary = {
-        "p": cfg.p, "n": cfg.n, "eps": cfg.eps, "seed": cfg.seed,
-        "amplitude": cfg.amplitude, "tau_end": cfg.tau_end,
-        "dtau": dtau, "T": cfg.T, "T_star": t_star,
+        "p": args.p, "n": args.n, "eps": args.eps, "seed": args.seed,
+        "amplitude": args.amplitude, "tau_end": args.tau_end,
+        "dtau": dtau, "T": args.T, "T_star": t_star,
         "mu": params.mu, "rate": None, "fit_amplitude": None,
         "growth_rate": None, "xnorm_mu": None,
         "aborted_at": None if abort is None else float(traj.taus[-1]),
@@ -127,14 +110,14 @@ def cmd_evolve(cfg):
                 traj.taus, traj.unstable_coeffs, window)
         except DomainError:
             pass
-    if cfg.field_out:
+    if args.field_out:
         # reconstructed physical field at the last sample; trajectory time
         # is the shifted variable, the unshifted one is tau - log T
-        T_used = t_star if t_star is not None else cfg.T
-        p_used = md.params_new(cfg.p, T=T_used, eps=cfg.eps)
+        T_used = t_star if t_star is not None else args.T
+        p_used = md.params_new(args.p, T=T_used, eps=args.eps)
         tau_phys = float(traj.taus[-1]) - math.log(T_used)
         rec = md.reconstruct_field(traj.states[-1], tau_phys, p_used, grid)
-        md.field_to_csv(rec, T_used - math.exp(-tau_phys), cfg.field_out)
+        md.field_to_csv(rec, T_used - math.exp(-tau_phys), args.field_out)
     spath = _summary_path(out)
     with open(spath, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -143,41 +126,41 @@ def cmd_evolve(cfg):
         print(f"evolve: partial trajectory to tau={traj.taus[-1]:.1f} "
               f"-> {out}, {spath}")
         raise abort
-    print(f"evolve: p={cfg.p} n={cfg.n} tuned={cfg.tune} "
+    print(f"evolve: p={args.p} n={args.n} tuned={args.tune} "
           f"T_star={t_star} rate={summary['rate']} -> {out}, {spath}")
     return 0
 
 
-def cmd_energy(cfg):
-    params = md.params_new(cfg.p, T=cfg.T, eps=cfg.eps)
+def cmd_energy(args):
+    params = md.params_new(args.p, T=args.T, eps=args.eps)
     ts = np.linspace(0.0, 0.9, 46)
     vals = []
     for t in ts:
-        gr = build_grid(cfg.n, params.T - t)
-        pair = md.RadialPair(f=np.full(cfg.n, md.psi_T(params, t)),
-                             g=np.full(cfg.n, md.psi_T_t(params, t)),
+        gr = build_grid(args.n, params.T - t)
+        pair = md.RadialPair(f=np.full(args.n, md.psi_T(params, t)),
+                             g=np.full(args.n, md.psi_T_t(params, t)),
                              grid=gr)
         vals.append(md.energy_norm(pair))
     slope = float(np.polyfit(np.log(params.T - ts), np.log(vals), 1)[0])
-    theory = -(5.0 - cfg.p) / (2.0 * (cfg.p - 1.0))
-    out = cfg.out or "energy.csv"
+    theory = -(5.0 - args.p) / (2.0 * (args.p - 1.0))
+    out = args.out or "energy.csv"
     with open(out, "w") as fh:
         fh.write("t,energy_norm\n")
         for t, val in zip(ts, vals):
             fh.write(f"{t:.10g},{val:.17g}\n")
     spath = _summary_path(out)
     with open(spath, "w") as fh:
-        json.dump({"p": cfg.p, "T": cfg.T, "slope": slope,
+        json.dump({"p": args.p, "T": args.T, "slope": slope,
                    "slope_theory": theory,
                    "slope_error": abs(slope - theory)}, fh, indent=2)
         fh.write("\n")
-    print(f"energy: p={cfg.p} slope={slope:.6f} theory={theory:.6f} "
+    print(f"energy: p={args.p} slope={slope:.6f} theory={theory:.6f} "
           f"-> {out}, {spath}")
     return 0
 
 
-def cmd_validate(cfg):
-    results = vl.run_all(p=cfg.p, n=cfg.n, eps=cfg.eps, seed=cfg.seed)
+def cmd_validate(args):
+    results = vl.run_all(p=args.p, n=args.n, eps=args.eps, seed=args.seed)
     failures = 0
     for res in results:
         print(res.line())
@@ -239,23 +222,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(p=args.p, n=args.n, eps=args.eps, seed=args.seed,
-                    out=args.out)
-    if args.command == "evolve":
-        cfg.tau_end = args.tau_end
-        cfg.amplitude = args.amplitude
-        cfg.T = args.T
-        cfg.tune = args.tune
-        cfg.dtau = args.dtau
-        cfg.field_out = args.field_out
-    elif args.command == "energy":
-        cfg.T = args.T
-    elif args.command == "spectrum":
-        cfg.halfplane = args.halfplane
     handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
                "energy": cmd_energy, "validate": cmd_validate}[args.command]
     try:
-        return handler(cfg)
+        return handler(args)
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 2

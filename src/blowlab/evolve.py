@@ -28,7 +28,7 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      StepSizeError)
 from .grid import bary_interp
 from .model import State, avg_A, nonlin_N
-from .spectral import riesz_projection, state_inner, state_norm
+from .spectral import riesz_projection, state_norm
 
 SCHEME = "lawson-rk4"
 _SAMPLE_DTAU = 0.1
@@ -164,14 +164,12 @@ class Trajectory:
                 fh.write(f"{tau:.10g},{nrm:.17g},{a:.17g}\n")
 
 
-def unstable_coefficient(state, projection, grid):
-    """Coefficient a with P Phi = a g, via <P Phi, g> / <g, g>."""
+def unstable_coefficient(state, projection):
+    """Coefficient a with P Phi = a g: the projection functional l @ Phi."""
     if projection.rank != 1:
         raise DomainError(
             f"projection rank {projection.rank} out of range: need rank 1")
-    g = projection.g_vector
-    pu = projection.P @ state.stacked()
-    return state_inner(grid, pu, g) / state_inner(grid, g, g)
+    return float(projection.functional @ state.stacked())
 
 
 def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
@@ -207,7 +205,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
         taus.append(tau)
         states.append(st)
         norms.append(state_norm(grid, vec))
-        coeffs.append(unstable_coefficient(st, projection, grid))
+        coeffs.append(unstable_coefficient(st, projection))
 
     def partial_trajectory():
         return Trajectory(taus=np.array(taus), states=states,
@@ -308,7 +306,7 @@ def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None):
         return pT, U_map(v, T, pT, grid)
 
     def predicted(T):
-        return unstable_coefficient(initial(T)[1], projection, grid)
+        return unstable_coefficient(initial(T)[1], projection)
 
     runs = {}      # T -> (TuneStep, trajectory, AmplitudeAbort or None)
 
@@ -464,18 +462,15 @@ def correction_residual(traj, grid, params, projection):
 
     On a trajectory with the unstable mode suppressed, the initial
     coefficient cancels the weighted tail of the projected nonlinearity:
-    a(0) + int_0^inf e^{-s} <P N(Phi(s)), g>/<g, g> ds = 0.  Returns the
-    magnitude of the left side with the integral truncated at the last
-    sample (trapezoid rule).
+    a(0) + int_0^inf e^{-s} l(N(Phi(s))) ds = 0, l the projection
+    functional (P N = l(N) g).  Returns the magnitude of the left side
+    with the integral truncated at the last sample (trapezoid rule).
     """
-    g = projection.g_vector
-    den = state_inner(grid, g, g)
     taus = traj.taus - traj.taus[0]
     vals = np.empty(taus.size)
     for j, st in enumerate(traj.states):
         nl = nonlinear_term(grid, params, st.phi2)
-        coeff = state_inner(grid, projection.P @ nl, g) / den
-        vals[j] = np.exp(-taus[j]) * coeff
+        vals[j] = np.exp(-taus[j]) * (projection.functional @ nl)
     integral = float(np.trapezoid(vals, taus))
     return abs(traj.unstable_coeffs[0] + integral)
 

@@ -111,46 +111,60 @@ def analytic_eigenvalues(params, re_min):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Riesz projection matrix with its diagnostics."""
+    """Riesz projection P = g l^T onto the symmetry mode, with diagnostics.
+
+    `functional` is l, the left eigenvector of L at eigenvalue 1 scaled to
+    l^T g = 1, so the unstable-mode coefficient of a stacked state u is
+    l @ u and P u = (l @ u) g.
+    """
 
     P: np.ndarray
     idempotency_defect: float
     rank: int
     g_residual: float
-    g_vector: np.ndarray   # stacked symmetry mode on the projection grid
+    g_vector: np.ndarray     # stacked symmetry mode on the projection grid
+    functional: np.ndarray   # l with L^T l = l and l @ g_vector = 1
     grid: Grid
 
 
-def riesz_projection(ops, center=1.0, radius=1.0, m=32):
-    """Contour-quadrature Riesz projection (2 pi i)^-1 oint R_L(lam) dlam.
+def riesz_projection(ops):
+    """Riesz projection of L onto its simple eigenvalue 1, P = g l^T.
 
-    The circle |lam - center| = radius must separate 1 from the rest of
-    the spectrum; with the defaults the gap to Re(lam) = -1/2 is 1/2 for
-    every admissible p.  Trapezoid quadrature on the circle converges
-    exponentially in m.
+    For a simple eigenvalue the Riesz projection is exactly the rank-one
+    g l^T / (l^T g), l the left null vector of L - I (Kato, Perturbation
+    Theory for Linear Operators, III 6.5).  l comes from one real solve of
+    the bordered system
+
+        [(L - I)^T  g] [l]   [0]
+        [   g^T     0] [s] = [1],
+
+    which is nonsingular exactly when eigenvalue 1 is algebraically simple
+    and normalises l^T g = 1 (then s = 0).  The diagnostics measure P
+    itself: ||P^2 - P||_2, the number of singular values above 1e-6 and the
+    quadrature norm of P g - g.
     """
     L = ops.L
     dim = L.shape[0]
-    eye = np.eye(dim)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in range(m):
-        theta = 2.0 * np.pi * k / m
-        lam = center + radius * np.exp(1j * theta)
-        try:
-            res = np.linalg.solve(lam * eye - L, eye)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"resolvent solve failed at contour point {lam}: {exc}") from exc
-        acc += radius * np.exp(1j * theta) * res
-    P = (acc / m).real
     gvec = symmetry_mode(ops.grid, ops.params).stacked()
+    border = np.block([[L.T - np.eye(dim), gvec[:, None]],
+                       [gvec[None, :], np.zeros((1, 1))]])
+    rhs = np.zeros(dim + 1)
+    rhs[dim] = 1.0
+    try:
+        lvec = np.linalg.solve(border, rhs)[:dim]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"bordered left-eigenvector solve failed: {exc}") from exc
+    P = np.outer(gvec, lvec)
     defect = float(np.linalg.norm(P @ P - P, 2))
     svals = np.linalg.svd(P, compute_uv=False)
     rank = int(np.sum(svals > 1e-6))
     g_res = state_norm(ops.grid, P @ gvec - gvec)
-    P.setflags(write=False)
+    for a in (P, gvec, lvec):
+        a.setflags(write=False)
     return ProjectionResult(P=P, idempotency_defect=defect, rank=rank,
-                            g_residual=g_res, g_vector=gvec, grid=ops.grid)
+                            g_residual=g_res, g_vector=gvec,
+                            functional=lvec, grid=ops.grid)
 
 
 @dataclass

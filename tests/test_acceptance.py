@@ -85,11 +85,11 @@ def test_criterion_04_linear_decay_rates():
             stable = md.State.from_stacked(u.stacked() - proj.P @ u.stacked(),
                                            0.0)
             traj = ev.integrate(stable, 8.0, ops, grid, params,
-                                nonlinear=False, dtau=1.5e-3, projection=proj)
+                                nonlinear=False, projection=proj)
             rate, _ = ev.decay_fit(traj, (2.0, 8.0))
             rates.append(rate)
             full = ev.integrate(u, 8.0, ops, grid, params, nonlinear=False,
-                                dtau=1.5e-3, projection=proj)
+                                projection=proj)
             growths.append(ev.growth_fit(full.taus, full.unstable_coeffs,
                                          (2.0, 7.0)))
         ok &= min(rates) >= abs(params.omega) - 0.15
@@ -111,13 +111,11 @@ def test_criterion_05_nonlinear_stability_with_tuning():
     rng = np.random.default_rng(42)
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
-    t_star, traj = ev.tune_T(v, params, 10.0, grid, ops, projection=proj,
-                             dtau=1.5e-3)
+    t_star, traj = ev.tune_T(v, params, 10.0, grid, ops, projection=proj)
     weighted = np.exp(0.35 * traj.taus) * traj.norms
     ratio = weighted.max() / traj.norms[0]
     zero = md.DataPair(v1=np.zeros(n), v2=np.zeros(n), grid=gdata)
-    t_zero, _ = ev.tune_T(zero, params, 10.0, grid, ops, projection=proj,
-                          dtau=1.5e-3)
+    t_zero, _ = ev.tune_T(zero, params, 10.0, grid, ops, projection=proj)
     ok = (0.9 < t_star < 1.1) and ratio <= 10.0 \
         and abs(t_zero - 1.0) <= 1e-9
     _report(5, "tuned blow-up time suppresses the instability", ok,

@@ -114,7 +114,7 @@ def test_outputs_are_deterministic(tmp_path):
     assert sa == sb
 
 
-def test_fault_injection_trips_lipschitz_and_rhs_suites():
+def test_fault_injection_trips_lipschitz_and_rhs_suites(monkeypatch):
     params = cached_params(3.0)
     grid = build_grid(96)
     ops = cached_ops(3.0, 96)
@@ -122,12 +122,9 @@ def test_fault_injection_trips_lipschitz_and_rhs_suites():
     baseline_lip = vl.suite_lipschitz(params, grid, seed=0, npairs=40)
     baseline_rhs = vl.suite_rhs(params, grid, ops, proj, seed=0)
     assert all(r.ok for r in baseline_lip + baseline_rhs)
-    md._SIGN_HOOK = -1.0
-    try:
-        lip = vl.suite_lipschitz(params, grid, seed=0, npairs=40)
-        rhs = vl.suite_rhs(params, grid, ops, proj, seed=0)
-    finally:
-        md._SIGN_HOOK = 1.0
+    monkeypatch.setattr(md, "_SIGN_HOOK", -1.0)
+    lip = vl.suite_lipschitz(params, grid, seed=0, npairs=40)
+    rhs = vl.suite_rhs(params, grid, ops, proj, seed=0)
     assert any(not r.ok for r in lip)
     assert any(not r.ok for r in rhs)
 

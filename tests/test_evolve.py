@@ -142,20 +142,20 @@ def test_amplitude_guard_carries_partial_trajectory():
 def test_unstable_coefficient_projections():
     params, grid, ops, proj = _setup()
     gsym = sp.symmetry_mode(grid, params)
-    assert ev.unstable_coefficient(gsym, proj, grid) == pytest.approx(1.0,
-                                                                      abs=1e-10)
+    assert ev.unstable_coefficient(gsym, proj) == pytest.approx(1.0,
+                                                                abs=1e-10)
     rng = np.random.default_rng(8)
     u = md.random_polynomial_state(grid, rng, amplitude=0.5)
     stable_part = u.stacked() - proj.P @ u.stacked()
     st = md.State.from_stacked(stable_part, 0.0)
-    assert abs(ev.unstable_coefficient(st, proj, grid)) <= 1e-8
+    assert abs(ev.unstable_coefficient(st, proj)) <= 1e-8
 
 
 def test_unstable_coefficient_grows_at_unit_rate():
     params, grid, ops, proj = _setup()
     rng = np.random.default_rng(15)
     u = md.random_polynomial_state(grid, rng, amplitude=1e-3)
-    a0 = ev.unstable_coefficient(u, proj, grid)
+    a0 = ev.unstable_coefficient(u, proj)
     traj = ev.integrate(u, 4.0, ops, grid, params, nonlinear=False,
                         dtau=1e-3, projection=proj)
     assert np.abs(traj.unstable_coeffs / (a0 * np.exp(traj.taus)) - 1.0
@@ -202,7 +202,7 @@ def test_linear_decay_on_stable_subspace():
     u = md.random_polynomial_state(grid, rng, amplitude=1e-2)
     stable = md.State.from_stacked(u.stacked() - proj.P @ u.stacked(), 0.0)
     traj = ev.integrate(stable, 8.0, ops, grid, params, nonlinear=False,
-                        dtau=1.5e-3, projection=proj)
+                        projection=proj)
     rate, _ = ev.decay_fit(traj, (2.0, 8.0))
     assert rate >= abs(params.omega) - 0.15
 
@@ -226,8 +226,7 @@ def test_tune_T_zero_data_returns_one(monkeypatch):
     gdata = cached_grid(48, 1.5)
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
     calls = _count_integrations(monkeypatch)
-    t_star, traj = ev.tune_T(zero, params, 5.0, grid, ops, projection=proj,
-                             dtau=1.5e-3)
+    t_star, traj = ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
     assert abs(t_star - 1.0) <= 1e-9
     assert traj.norms.max() <= 1e-9
     assert len(calls) <= 2
@@ -240,8 +239,7 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
     calls = _count_integrations(monkeypatch)
-    t_star, traj = ev.tune_T(v, params, 8.0, grid, ops, projection=proj,
-                             dtau=1.5e-3)
+    t_star, traj = ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
     assert 0.5 < t_star < 1.5
     assert traj.norms[-1] < traj.norms[0]
     resid = ev.correction_residual(traj, grid, params, proj)
@@ -262,7 +260,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1.0)
     with pytest.raises(NoSignChangeError):
         ev.tune_T(md.data_to_v(fg, params), params, 5.0, grid, ops,
-                  projection=proj, dtau=1.5e-3)
+                  projection=proj)
 
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
     partial = ev.Trajectory(taus=np.array([0.0, 0.1]), states=[],
@@ -275,8 +273,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
 
     monkeypatch.setattr(ev, "integrate", always_grows)
     with pytest.raises(NoSignChangeError):
-        ev.tune_T(zero, params, 5.0, grid, ops, projection=proj,
-                  dtau=1.5e-3)
+        ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
 
 
 def test_tune_T_derivative_sign_at_one():
@@ -288,7 +285,7 @@ def test_tune_T_derivative_sign_at_one():
         pT = md.params_new(params.p, T=T, eps=params.eps)
         init = md.U_map(zero, T, pT, grid)
         tr = ev.integrate(init, 3.0, ops, grid, pT, nonlinear=True,
-                          dtau=1.5e-3, projection=proj)
+                          projection=proj)
         return tr.unstable_coeffs[-1]
 
     h = 1e-6
@@ -383,7 +380,7 @@ def test_trajectory_csv_format(tmp_path):
     rng = np.random.default_rng(5)
     u = md.random_polynomial_state(grid, rng, amplitude=1e-4)
     tr = ev.integrate(u, 1.0, ops, grid, params, nonlinear=True,
-                      dtau=1.5e-3, projection=proj)
+                      projection=proj)
     path = tmp_path / "traj.csv"
     tr.to_csv(path)
     lines = path.read_text().splitlines()

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from blowlab import spectral as sp
+from blowlab import validate as vl
 from blowlab.errors import DomainError
 from blowlab.grid import build_grid
-from blowlab.model import random_polynomial_state
+from blowlab.model import params_new, random_polynomial_state
 from blowlab.specfun import ln_gamma, _sinpi
 from conftest import cached_grid, cached_ops, cached_params, cached_projection
 
@@ -158,6 +161,47 @@ def test_riesz_projection_commutes_with_generator():
     ops = cached_ops(3.0, 96)
     proj = cached_projection(3.0, 96)
     assert np.linalg.norm(proj.P @ ops.L - ops.L @ proj.P, 2) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=hst.floats(1.01, 3.0), n=hst.integers(16, 160))
+@example(p=1.1, n=96)
+def test_riesz_projection_on_admissible_domain(p, n):
+    ops = sp.assemble_L(build_grid(n), params_new(p))
+    proj = sp.riesz_projection(ops)
+    assert proj.rank == 1
+    assert proj.idempotency_defect <= 1e-8
+    assert proj.g_residual <= 1e-8
+    assert np.linalg.norm(proj.P @ ops.L - ops.L @ proj.P, 2) <= 1e-8
+
+
+def _contour_projection(L, m=32, center=1.0, radius=0.5):
+    """(2 pi i)^-1 oint (lam - L)^-1 dlam by the m-point trapezoid rule on
+    |lam - center| = radius; converges exponentially in m when the circle
+    separates 1 from the rest of the spectrum."""
+    eye = np.eye(L.shape[0])
+    acc = np.zeros(L.shape, dtype=complex)
+    for k in range(m):
+        z = radius * np.exp(2j * np.pi * k / m)
+        acc += z * np.linalg.solve((center + z) * eye - L, eye)
+    return (acc / m).real
+
+
+@pytest.mark.parametrize("p", [1.02, 1.1, 1.5, 2.0, 3.0])
+def test_riesz_projection_matches_contour_quadrature(p):
+    ops = cached_ops(p, 48)
+    ref = _contour_projection(ops.L)
+    P = cached_projection(p, 48).P
+    assert np.linalg.norm(P - ref, 2) <= 1e-11 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("p", [1.02, 1.1])
+def test_suite_spectral_projection_checks_pass_near_p_one(p):
+    results = vl.suite_spectral(cached_params(p), 64, 96)
+    checks = {r.name: r.ok for r in results if r.name.startswith("projection")}
+    assert checks == {"projection_idempotency": True, "projection_rank": True,
+                      "projection_g_residual": True,
+                      "projection_commutator": True}
 
 
 def test_spectrum_report_json_schema():
