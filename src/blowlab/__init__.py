@@ -12,11 +12,11 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      PerturbationTooLarge, SolverError, StepSizeError)
 from .evolve import (OracleSample, Trajectory, TuneStep, decay_fit,
-                     duhamel_residual, integrate, physical_oracle, rhs,
+                     duhamel_residual, integrate, physical_oracle,
                      stable_dtau, tune_T, unstable_coefficient)
 from .grid import Grid, bary_interp, build_grid
 from .model import (DataPair, Params, RadialPair, State, U_map, avg_A,
-                    data_to_v, energy_norm, nonlin_N, nonlin_n, params_new,
+                    data_to_v, energy_norm, nonlin_N, params_new,
                     psi_T, psi_T_t, reconstruct_field)
 from .specfun import HypParams, hyp2f1, ln_gamma, rgamma
 from .spectral import (OperatorMatrices, ProjectionResult, SpectrumReport,

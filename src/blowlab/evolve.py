@@ -106,20 +106,6 @@ def nonlinear_term(grid, params, phi2):
     return out
 
 
-def rhs(state, ops, grid, params, nonlinear=True):
-    """Right-hand side L*Phi (+ nonlinear term) as a State derivative."""
-    u = state.stacked()
-    out = ops.L @ u
-    if nonlinear:
-        out += nonlinear_term(grid, params, u[grid.n:])
-    out[0] = 0.0
-    if not np.all(np.isfinite(out)) or np.abs(out).max() > _OVERFLOW_LIMIT:
-        raise OverflowAbort(
-            "rhs overflow: perturbation exceeded 1e12 (blow-up of the "
-            "perturbation itself)")
-    return State.from_stacked(out, state.tau)
-
-
 class TuneStep(NamedTuple):
     """One evaluation of the tuning target: the blow-up time T, the
     unstable coefficient a read from its run, the abort tau (None for a run
@@ -142,8 +128,6 @@ class Trajectory:
     states: list
     norms: np.ndarray
     unstable_coeffs: np.ndarray
-    params: object
-    grid_n: int
     nonlinear: bool = True
     tuning: tuple = ()
 
@@ -211,7 +195,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
         return Trajectory(taus=np.array(taus), states=states,
                           norms=np.array(norms),
                           unstable_coeffs=np.array(coeffs),
-                          params=params, grid_n=grid.n, nonlinear=nonlinear)
+                          nonlinear=nonlinear)
 
     def N(v):
         return nonlinear_term(grid, params, v[n:])
@@ -246,32 +230,37 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     return partial_trajectory()
 
 
-def decay_fit(traj, tau_window):
-    """Least-squares fit of log||Phi|| vs tau; returns (rate, amplitude).
+def _log_linear_fit(taus, values, tau_window):
+    """Least-squares line through (tau, log|value|) over the samples with
+    tau in tau_window; returns (slope, intercept).
 
-    rate is the negated slope, amplitude the intercept at the window's
-    reference tau = 0.
+    Raises DegenerateFitError for fewer than 10 samples in the window or a
+    |value| at or below 1e-14 there.
     """
-    t1, t2 = tau_window
-    mask = (traj.taus >= t1 - 1e-9) & (traj.taus <= t2 + 1e-9)
-    if mask.sum() < 10:
-        raise DegenerateFitError(
-            f"decay_fit: only {int(mask.sum())} samples in window, need >= 10")
-    nrms = traj.norms[mask]
-    if nrms.min() <= 1e-14:
-        raise DegenerateFitError("decay_fit: norms underflow below 1e-14")
-    slope, intercept = np.polyfit(traj.taus[mask], np.log(nrms), 1)
-    return -float(slope), float(np.exp(intercept))
-
-
-def growth_fit(taus, values, tau_window):
-    """Fitted exponential rate of |values| over the window (helper)."""
     taus = np.asarray(taus)
     values = np.abs(np.asarray(values))
     mask = (taus >= tau_window[0] - 1e-9) & (taus <= tau_window[1] + 1e-9)
-    if mask.sum() < 10 or values[mask].min() <= 1e-14:
-        raise DegenerateFitError("growth_fit: degenerate samples")
-    return float(np.polyfit(taus[mask], np.log(values[mask]), 1)[0])
+    if mask.sum() < 10:
+        raise DegenerateFitError(
+            f"only {int(mask.sum())} samples in fit window {tau_window}, "
+            f"need >= 10")
+    if values[mask].min() <= 1e-14:
+        raise DegenerateFitError("fitted values underflow below 1e-14")
+    slope, intercept = np.polyfit(taus[mask], np.log(values[mask]), 1)
+    return float(slope), intercept
+
+
+def decay_fit(traj, tau_window):
+    """Exponential fit of ||Phi|| over the window; returns (rate,
+    amplitude): rate is the negated slope of log||Phi|| vs tau, amplitude
+    the fit's value at tau = 0."""
+    slope, intercept = _log_linear_fit(traj.taus, traj.norms, tau_window)
+    return -slope, float(np.exp(intercept))
+
+
+def growth_fit(taus, values, tau_window):
+    """Fitted exponential rate of |values| over the window."""
+    return _log_linear_fit(taus, values, tau_window)[0]
 
 
 def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None):
@@ -418,9 +407,9 @@ def _bracket_ends(T_lin, direction):
     yield hi if direction < 0.0 else lo
 
 
-def duhamel_residual(traj, ops, grid, params, tau_max=3.0):
+def duhamel_residual(traj, ops, grid, params):
     """Max defect of Phi(tau) = e^{tau L} Phi(0) + int_0^tau e^{(tau-s)L} N(Phi(s)) ds
-    over the stored samples with tau - tau0 <= tau_max.
+    over the stored samples with tau - tau0 <= 3.
 
     The semigroup is realized by the matrix exponential of the discretized
     generator at the sample spacing; the Duhamel integral uses trapezoid
@@ -437,7 +426,7 @@ def duhamel_residual(traj, ops, grid, params, tau_max=3.0):
                           "spacing <= 0.1")
     ds = float(spacing[0])
     E = _expm(ds * ops.L)
-    kmax = int(min(taus.size - 1, math.floor(tau_max / ds + 1e-9)))
+    kmax = int(min(taus.size - 1, math.floor(3.0 / ds + 1e-9)))
     nl = [nonlinear_term(grid, params, st.phi2) if traj.nonlinear
           else np.zeros(2 * grid.n) for st in traj.states[:kmax + 1]]
     # propagated[j] = E^(k-j) applied incrementally as k advances
@@ -484,7 +473,7 @@ class OracleSample(NamedTuple):
     psi_t: np.ndarray
 
 
-def physical_oracle(fg, params, t_end, nr=4096, cfl=1.0):
+def physical_oracle(fg, params, t_end, nr=4096):
     """Independent (t, r)-solver for the radial wave equation.
 
     Works on psi_tilde = r psi, for which the equation becomes the 1+1
@@ -493,16 +482,14 @@ def physical_oracle(fg, params, t_end, nr=4096, cfl=1.0):
     with psi_tilde(t, 0) = 0.  The active region shrinks by one node per
     step, which at unit Courant number tracks the backward lightcone
     exactly; no outer boundary condition is ever used.  The step is
-    dt = t_end / steps with the smallest step count satisfying
-    dt <= cfl * dr, so the returned snapshot sits exactly at t_end.
+    dt = t_end / steps with the smallest step count satisfying dt <= dr,
+    so the returned snapshot sits exactly at t_end.
     """
     T = params.T
     if t_end >= T - 0.05:
         raise DomainError(
             f"t_end={t_end} out of range: need t_end < T - 0.05 (blow-up "
             f"proximity)")
-    if cfl > 1.0:
-        raise StepSizeError(f"cfl={cfl} out of range: leapfrog needs cfl <= 1")
     dr = T / nr
     r = np.linspace(0.0, T, nr + 1)
     f = bary_interp(fg.grid, fg.f, r)
@@ -510,12 +497,12 @@ def physical_oracle(fg, params, t_end, nr=4096, cfl=1.0):
     p = params.p
     if t_end <= 0.0:
         return OracleSample(t=0.0, r=r, psi=f.copy(), psi_t=g.copy())
-    steps = int(math.ceil(t_end / (cfl * dr) - 1e-12))
+    steps = int(math.ceil(t_end / dr - 1e-12))
     dt = t_end / steps
     if steps > nr - 4:
         raise DomainError(
             f"physical_oracle: {steps} steps exhaust the {nr}-node grid "
-            f"(one node is lost per step); increase nr or cfl")
+            f"(one node is lost per step); increase nr")
 
     def source(w):
         out = np.zeros_like(w)

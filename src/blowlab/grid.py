@@ -20,8 +20,6 @@ from .errors import DomainError
 
 def _cheb_nodes_and_diff(N):
     """Differentiation matrix on cos(j*pi/N), j = 0..N (Trefethen)."""
-    if N == 0:
-        return np.ones(1), np.zeros((1, 1))
     x = np.cos(np.pi * np.arange(N + 1) / N)
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
     X = np.tile(x, (N + 1, 1)).T

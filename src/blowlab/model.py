@@ -1,10 +1,10 @@
 """Closed-form model objects for the similarity-coordinate blow-up problem.
 
 Everything here evaluates explicit formulas on collocation grids: the
-space-homogeneous blow-up solution psi_T, the expanded nonlinearity N and
-its scaled form n(x, rho) = rho*N(x), the running average A, the initial
-data maps v/kappa/U relative to psi^1, field reconstruction from
-similarity-coordinate states, and the local energy norm on a cone section.
+space-homogeneous blow-up solution psi_T, the expanded nonlinearity N, the
+running average A, the initial data maps v/kappa/U relative to psi^1,
+field reconstruction from similarity-coordinate states, and the local
+energy norm on a cone section.
 """
 
 from dataclasses import dataclass
@@ -67,10 +67,6 @@ class RadialPair:
     g: np.ndarray
     grid: Grid
 
-    @property
-    def R(self):
-        return self.grid.length
-
 
 @dataclass(frozen=True)
 class DataPair:
@@ -102,14 +98,14 @@ class State:
         return cls(phi1=vec[:n].copy(), phi2=vec[n:].copy(), tau=float(tau))
 
 
-def psi_T(params, t, r=0.0):
+def psi_T(params, t):
     """The space-homogeneous blow-up solution kappa0^(1/(p-1)) (T-t)^(-2/(p-1))."""
     if t >= params.T:
         raise DomainError(f"t={t} out of range: need t < T={params.T}")
     return params.kappa_root * (params.T - t) ** (-2.0 / (params.p - 1.0))
 
 
-def psi_T_t(params, t, r=0.0):
+def psi_T_t(params, t):
     """Time derivative of psi_T."""
     if t >= params.T:
         raise DomainError(f"t={t} out of range: need t < T={params.T}")
@@ -130,15 +126,6 @@ def nonlin_N(params, x):
     power = _SIGN_HOOK * np.sign(y) * np.abs(y) ** params.p
     # constant written as |k|^p so the x = 0 cancellation is exact
     out = power - np.abs(k) ** params.p - params.p * params.kappa0 * x
-    return out if out.ndim else float(out)
-
-
-def nonlin_n(params, x, rho):
-    """n(x, rho) = rho * N(x); obeys |n| <= C rho x^2 <x>^(p-2)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0) or np.any(rho > 1.0):
-        raise DomainError("nonlin_n: rho out of range [0, 1]")
-    out = rho * nonlin_N(params, x)
     return out if out.ndim else float(out)
 
 

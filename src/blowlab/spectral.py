@@ -7,9 +7,10 @@ The generator splits as L = L0 + L' with
 
 discretized by Chebyshev collocation.  The rho = 0 boundary condition
 u1(0) = 0 is enforced by replacing the first row of L with a penalty row
--eta * e0; this pins a single artificial eigenvalue at -eta, far left of
-every reported spectral window, and leaves all admissible eigenvectors and
-the Riesz projection untouched.
+-50 e0; this pins a single artificial eigenvalue at -50 and leaves all
+admissible eigenvectors and the Riesz projection untouched.  It lies left
+of the reported window Re(lam) > omega_tilde + 0.1 only for p > 1.0395
+(where omega_tilde + 0.1 = -50); for smaller p the window contains it.
 
 Raw eigenvalues of the discretization are untrusted: the continuous part
 of the spectrum produces resolution-dependent values, so only eigenvalues
@@ -50,7 +51,6 @@ class OperatorMatrices:
     L: np.ndarray     # L0 + Lp with the rho=0 penalty row
     grid: Grid
     params: Params
-    eta: float = _BOUNDARY_PENALTY
 
 
 def assemble_L(grid, params):
@@ -122,9 +122,7 @@ class ProjectionResult:
     idempotency_defect: float
     rank: int
     g_residual: float
-    g_vector: np.ndarray     # stacked symmetry mode on the projection grid
-    functional: np.ndarray   # l with L^T l = l and l @ g_vector = 1
-    grid: Grid
+    functional: np.ndarray   # l with L^T l = l and l @ g = 1
 
 
 def riesz_projection(ops):
@@ -160,11 +158,10 @@ def riesz_projection(ops):
     svals = np.linalg.svd(P, compute_uv=False)
     rank = int(np.sum(svals > 1e-6))
     g_res = state_norm(ops.grid, P @ gvec - gvec)
-    for a in (P, gvec, lvec):
+    for a in (P, lvec):
         a.setflags(write=False)
     return ProjectionResult(P=P, idempotency_defect=defect, rank=rank,
-                            g_residual=g_res, g_vector=gvec,
-                            functional=lvec, grid=ops.grid)
+                            g_residual=g_res, functional=lvec)
 
 
 @dataclass
@@ -236,16 +233,6 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     report.projection_rank = proj.rank
     report.projection_defect = proj.idempotency_defect
     return report
-
-
-def eigenvalue_eigenvector(ops, target=1.0):
-    """Discrete eigenpair closest to `target` (helper for diagnostics)."""
-    try:
-        vals, vecs = np.linalg.eig(ops.L)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dense eigenvalue solve failed: {exc}") from exc
-    idx = int(np.argmin(np.abs(vals - target)))
-    return vals[idx], vecs[:, idx]
 
 
 def eigenfunction_analytic(lam, params, grid):

@@ -222,7 +222,7 @@ def test_criterion_09_nonlinearity_estimates():
     params = cached_params(3.0)
     grid = cached_grid(96)
     lip = vl.suite_lipschitz(params, grid, seed=0, npairs=200)
-    mod = vl.suite_model(params, n=96, seed=0, nfuncs=200)
+    mod = vl.suite_model(params, n=96, seed=0)
     wanted = {"quadratic_smallness_constant", "lipschitz_constant",
               "linfty_bound_violation", "hardy_constant"}
     checks = [r for r in lip + mod if r.name in wanted or r.suite == "lipschitz"]

@@ -14,7 +14,7 @@ from blowlab import model as md
 from blowlab import spectral as sp
 from blowlab.errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                             NoSignChangeError, NonConvergenceError,
-                            StepSizeError)
+                            OverflowAbort, StepSizeError)
 from conftest import cached_grid, cached_ops, cached_params, cached_projection
 
 
@@ -23,27 +23,28 @@ def _setup(p=3.0, n=48):
             cached_projection(p, n))
 
 
+def _rhs(u, ops, grid, params):
+    """The right-hand side L u + (rho N(A u2), 0) that integrate steps."""
+    return ops.L @ u + ev.nonlinear_term(grid, params, u[grid.n:])
+
+
 def test_rhs_zero_state():
     params, grid, ops, _ = _setup()
-    st = md.State(phi1=np.zeros(48), phi2=np.zeros(48), tau=0.0)
-    out = ev.rhs(st, ops, grid, params)
-    assert sp.state_norm(grid, out.stacked()) <= 1e-13
+    out = _rhs(np.zeros(96), ops, grid, params)
+    assert sp.state_norm(grid, out) <= 1e-13
 
 
 def test_rhs_linear_on_symmetry_mode():
     params, grid, ops, _ = _setup()
-    gsym = sp.symmetry_mode(grid, params)
-    out = ev.rhs(gsym, ops, grid, params, nonlinear=False)
-    assert sp.state_norm(grid, out.stacked() - gsym.stacked()) <= 1e-10
+    gvec = sp.symmetry_mode(grid, params).stacked()
+    assert sp.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
 
 
 def test_rhs_nonlinear_extra_term():
     # A(phi2) = 1 on the symmetry mode, so the extra term is rho N(1)
     params, grid, ops, _ = _setup()
-    gsym = sp.symmetry_mode(grid, params)
-    lin = ev.rhs(gsym, ops, grid, params, nonlinear=False)
-    nl = ev.rhs(gsym, ops, grid, params, nonlinear=True)
-    extra = nl.stacked() - lin.stacked()
+    gvec = sp.symmetry_mode(grid, params).stacked()
+    extra = _rhs(gvec, ops, grid, params) - ops.L @ gvec
     expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
                              np.zeros(48)])
     expect[0] = 0.0
@@ -166,11 +167,14 @@ def test_decay_fit_exact_synthetic():
     taus = np.arange(0.0, 5.01, 0.1)
     traj = ev.Trajectory(taus=taus, states=[None] * taus.size,
                          norms=3.0 * np.exp(-0.5 * taus),
-                         unstable_coeffs=np.zeros(taus.size),
-                         params=None, grid_n=0)
+                         unstable_coeffs=np.zeros(taus.size))
     rate, amp = ev.decay_fit(traj, (0.0, 5.0))
     assert rate == pytest.approx(0.5, abs=1e-12)
     assert amp == pytest.approx(3.0, rel=1e-12)
+    # growth_fit shares the fit: signed values, the rate of |values|
+    values = -2.0 * np.exp(1.5 * taus)
+    assert ev.growth_fit(taus, values, (1.0, 4.0)) == pytest.approx(
+        1.5, abs=1e-12)
 
 
 def test_decay_fit_with_multiplicative_noise():
@@ -178,8 +182,7 @@ def test_decay_fit_with_multiplicative_noise():
     taus = np.arange(0.0, 8.01, 0.1)
     norms = 2.0 * np.exp(-0.7 * taus) * (1.0 + 0.01 * rng.standard_normal(taus.size))
     traj = ev.Trajectory(taus=taus, states=[None] * taus.size, norms=norms,
-                         unstable_coeffs=np.zeros(taus.size),
-                         params=None, grid_n=0)
+                         unstable_coeffs=np.zeros(taus.size))
     rate, _ = ev.decay_fit(traj, (0.0, 8.0))
     assert rate == pytest.approx(0.7, abs=0.02)
 
@@ -188,12 +191,18 @@ def test_decay_fit_degenerate_inputs():
     taus = np.arange(0.0, 5.01, 0.1)
     traj = ev.Trajectory(taus=taus, states=[None] * taus.size,
                          norms=np.full(taus.size, 1e-16),
-                         unstable_coeffs=np.zeros(taus.size),
-                         params=None, grid_n=0)
+                         unstable_coeffs=np.zeros(taus.size))
     with pytest.raises(DegenerateFitError):
         ev.decay_fit(traj, (0.0, 5.0))
     with pytest.raises(DegenerateFitError):
         ev.decay_fit(traj, (0.0, 0.3))
+    values = np.exp(taus)
+    with pytest.raises(DegenerateFitError):
+        ev.growth_fit(taus, values, (0.0, 0.3))
+    for small in (1e-14, -1e-15):
+        values[20] = small
+        with pytest.raises(DegenerateFitError):
+            ev.growth_fit(taus, values, (0.0, 5.0))
 
 
 def test_linear_decay_on_stable_subspace():
@@ -265,8 +274,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
     partial = ev.Trajectory(taus=np.array([0.0, 0.1]), states=[],
                             norms=np.array([0.5, 2.0]),
-                            unstable_coeffs=np.array([0.5, 2.0]),
-                            params=params, grid_n=48)
+                            unstable_coeffs=np.array([0.5, 2.0]))
 
     def always_grows(*args, **kwargs):
         raise AmplitudeAbort("left the unit ball", trajectory=partial)
@@ -347,17 +355,17 @@ def test_physical_oracle_guards():
     fg = md.RadialPair(f=np.zeros(48), g=np.zeros(48), grid=gd)
     with pytest.raises(DomainError):
         ev.physical_oracle(fg, params, 0.97)
-    with pytest.raises(StepSizeError):
-        ev.physical_oracle(fg, params, 0.3, cfl=1.2)
 
 
 def test_rhs_overflow_guard():
-    from blowlab.errors import OverflowAbort
-
-    params, grid, ops, _ = _setup()
+    # integrate checks the state after every step, so a run this large
+    # overflows within the first sample, before its amplitude is checked
+    # (OverflowAbort and AmplitudeAbort are sibling classes)
+    params, grid, ops, proj = _setup()
     st = md.State(phi1=np.zeros(48), phi2=np.full(48, 1e11), tau=0.0)
     with pytest.raises(OverflowAbort):
-        ev.rhs(st, ops, grid, params)
+        ev.integrate(st, 1.0, ops, grid, params, nonlinear=True,
+                     projection=proj)
 
 
 def test_field_csv_format(tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blowlab import evolve as ev
 from blowlab import model as md
 from blowlab.errors import DomainError
 from blowlab.grid import bary_interp, build_grid
@@ -100,20 +101,23 @@ def test_nonlin_N_rational_oracle_p2():
 
 
 def test_nonlin_n():
+    # the nonlinear term (rho N(A phi2), 0) of the evolution, row 0 zeroed;
+    # A maps constants to themselves, so phi2 = 1 gives rho N(1)
     p3 = cached_params(3.0)
-    assert md.nonlin_n(p3, 0.3, 0.0) == 0.0
-    assert md.nonlin_n(p3, 1.0, 0.5) == pytest.approx(
-        (3.0 * math.sqrt(2.0) + 1.0) / 2.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        md.nonlin_n(p3, 0.1, 1.5)
+    grid = cached_grid(48)
+    term = ev.nonlinear_term(grid, p3, np.ones(48))
+    assert term[0] == 0.0 and not term[48:].any()
+    assert term[1:48] == pytest.approx(
+        grid.nodes[1:] * (3.0 * math.sqrt(2.0) + 1.0), rel=1e-13)
 
 
 def test_nonlin_n_japanese_bracket_bound():
+    # |rho N(x)| <= C rho x^2 <x>^(p-2) on 0 <= rho <= 1: the bound on N
     for p in (1.5, 2.0, 3.0):
         pr = cached_params(p)
         xs = np.linspace(-5.0, 5.0, 501)
         xs = xs[np.abs(xs) > 1e-8]
-        vals = np.abs(md.nonlin_n(pr, xs, 1.0))
+        vals = np.abs(md.nonlin_N(pr, xs))
         bound = xs**2 * (1.0 + xs**2) ** ((p - 2.0) / 2.0)
         assert np.all(vals <= 50.0 * bound)
 

@@ -140,9 +140,10 @@ def test_eigenvector_at_one_parallel_to_symmetry_mode():
     params = cached_params(3.0)
     grid = cached_grid(96)
     ops = cached_ops(3.0, 96)
-    lam, vec = sp.eigenvalue_eigenvector(ops, 1.0)
-    assert abs(lam - 1.0) <= 1e-8
-    vec = np.real(vec)
+    vals, vecs = np.linalg.eig(ops.L)
+    idx = int(np.argmin(np.abs(vals - 1.0)))
+    assert abs(vals[idx] - 1.0) <= 1e-8
+    vec = np.real(vecs[:, idx])
     gvec = sp.symmetry_mode(grid, params).stacked()
     cosang = abs(sp.state_inner(grid, vec, gvec)) / (
         sp.state_norm(grid, vec) * sp.state_norm(grid, gvec))
@@ -195,13 +196,16 @@ def test_riesz_projection_matches_contour_quadrature(p):
     assert np.linalg.norm(P - ref, 2) <= 1e-11 * np.linalg.norm(ref, 2)
 
 
-@pytest.mark.parametrize("p", [1.02, 1.1])
+@pytest.mark.parametrize("p", [1.02, 1.05, 1.1])
 def test_suite_spectral_projection_checks_pass_near_p_one(p):
     results = vl.suite_spectral(cached_params(p), 64, 96)
-    checks = {r.name: r.ok for r in results if r.name.startswith("projection")}
+    checks = {r.name: r.ok for r in results
+              if r.name.startswith("projection")
+              or r.name == "volterra_block_structure"}
     assert checks == {"projection_idempotency": True, "projection_rank": True,
                       "projection_g_residual": True,
-                      "projection_commutator": True}
+                      "projection_commutator": True,
+                      "volterra_block_structure": True}
 
 
 def test_spectrum_report_json_schema():
