@@ -5,7 +5,7 @@ Subcommands
 spectrum   eigenvalue quantization vs collocation spectrum, JSON report
 evolve     similarity-coordinate evolution (optionally tuning T), CSV + JSON
 energy     blow-up rate table of the local energy norm, CSV + JSON
-validate   run every invariant suite, one line per check
+validate   run every invariant suite, one line per check (JSON with --out)
 
 Exit codes: 0 ok, 1 validation failure, 2 domain error, 3 solver failure,
 4 overflow / perturbation too large.  All outputs are deterministic for a
@@ -13,6 +13,7 @@ fixed seed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -133,15 +134,7 @@ def cmd_evolve(args):
 
 def cmd_energy(args):
     params = md.params_new(args.p, T=args.T, eps=args.eps)
-    ts = np.linspace(0.0, 0.9, 46)
-    vals = []
-    for t in ts:
-        gr = build_grid(args.n, params.T - t)
-        pair = md.RadialPair(f=np.full(args.n, md.psi_T(params, t)),
-                             g=np.full(args.n, md.psi_T_t(params, t)),
-                             grid=gr)
-        vals.append(md.energy_norm(pair))
-    slope = float(np.polyfit(np.log(params.T - ts), np.log(vals), 1)[0])
+    ts, vals, slope = md.energy_blowup(params, args.n)
     theory = -(5.0 - args.p) / (2.0 * (args.p - 1.0))
     out = args.out or "energy.csv"
     with open(out, "w") as fh:
@@ -166,6 +159,11 @@ def cmd_validate(args):
         print(res.line())
         failures += 0 if res.ok else 1
     print(f"validate: {len(results) - failures}/{len(results)} checks passed")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump([dataclasses.asdict(res) for res in results], fh,
+                      indent=2)
+            fh.write("\n")
     return 0 if failures == 0 else 1
 
 

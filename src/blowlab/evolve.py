@@ -263,7 +263,7 @@ def growth_fit(taus, values, tau_window):
     return _log_linear_fit(taus, values, tau_window)[0]
 
 
-def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None):
+def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     """Suppress the unstable mode by a root-find on the blow-up time T.
 
     The target is the unstable coefficient of the nonlinear run from
@@ -285,8 +285,6 @@ def tune_T(v, params, tau_end, grid, ops, projection=None, dtau=None):
     """
     from .model import U_map, params_new
 
-    if projection is None:
-        projection = riesz_projection(ops)
     tau_probe = tau_end - 1.0
     lo, hi = _T_DOMAIN
 

@@ -1,9 +1,11 @@
 """Invariant suites behind the `validate` subcommand.
 
-Each check returns a CheckResult with the measured value and its bound;
-the CLI prints one line per check and exits nonzero if any fail.  The
-suites are grouped so that a fault in one ingredient (say, a sign error in
-the nonlinearity) shows up in the groups that depend on it.
+`SUITES` lists the suites in order.  Each takes (params, n, seed) and
+returns one CheckResult per check, with the measured value and its bound;
+`blowlab validate` prints one line per check (and writes them as JSON with
+`--out`) and exits nonzero if any fail, and pytest runs each suite as its
+own test.  The suites are grouped so that a fault in one ingredient (say,
+a sign error in the nonlinearity) shows up in the groups that depend on it.
 """
 
 import math
@@ -43,7 +45,8 @@ def _interval(suite, name, value, lo, hi):
                        bool(lo <= value <= hi))
 
 
-def suite_specfun(seed=0):
+def suite_specfun(params, n, seed):
+    """Gamma and 2F1 identities; params and n are not used."""
     rng = np.random.default_rng(seed)
     out = []
     xs = np.linspace(0.1, 30.0, 733)
@@ -95,9 +98,10 @@ def suite_specfun(seed=0):
     return out
 
 
-def suite_lipschitz(params, grid, seed=0, npairs=200):
+def suite_lipschitz(params, n, seed):
     """Nonlinearity estimates: vanishing at zero, quadratic bound, and the
     sampled Lipschitz property with a single fitted constant."""
+    grid = build_grid(n)
     rng = np.random.default_rng(seed)
     out = []
     out.append(_upper("lipschitz", "nonlin_N_at_zero",
@@ -114,7 +118,7 @@ def suite_lipschitz(params, grid, seed=0, npairs=200):
     lip = 0.0
     c1 = 0.0
     norm = lambda u: math.sqrt(grid.integrate(u**2))
-    for _ in range(npairs):
+    for _ in range(200):
         amp_u = 10.0 ** rng.uniform(-1.7, 0.0)
         amp_v = 10.0 ** rng.uniform(-1.7, 0.0)
         u, v = sample(amp_u), sample(amp_v)
@@ -129,7 +133,7 @@ def suite_lipschitz(params, grid, seed=0, npairs=200):
     return out
 
 
-def suite_model(params, n=96, seed=0):
+def suite_model(params, n, seed):
     rng = np.random.default_rng(seed)
     out = []
     unit = build_grid(n)
@@ -176,9 +180,13 @@ def suite_model(params, n=96, seed=0):
     return out
 
 
-def suite_spectral(params, n_coarse=64, n_fine=96, seed=0):
+def suite_spectral(params, n, seed):
+    """Grid operators, the generator, its projection and its spectrum.  The
+    refinement filter of the spectrum compares 64 points with max(n, 96),
+    at least 1.5 times as many."""
     out = []
-    gc, gf = build_grid(n_coarse), build_grid(n_fine)
+    n_fine = max(n, 96)
+    gc, gf = build_grid(64), build_grid(n_fine)
     rho = gf.nodes
     out.append(_upper("spectral", "grid_diff_rho2",
                       float(np.abs(gf.D @ rho**2 - 2 * rho).max()), 1e-10))
@@ -244,11 +252,12 @@ def suite_spectral(params, n_coarse=64, n_fine=96, seed=0):
     return out
 
 
-def suite_rhs(params, grid, ops, projection, seed=0):
+def suite_rhs(params, n, seed):
     """Identities of the right-hand side L u + (rho N(A u2), 0) that
     `integrate` steps, checked against inline re-derivations."""
     out = []
-    n = grid.n
+    grid = build_grid(n)
+    ops = sp.assemble_L(grid, params)
     zero = np.zeros(2 * n)
     d0 = ops.L @ zero + ev.nonlinear_term(grid, params, zero[n:])
     out.append(_upper("rhs", "vanishes_at_zero",
@@ -272,7 +281,7 @@ def suite_rhs(params, grid, ops, projection, seed=0):
     ub = md.random_polynomial_state(grid, rng, amplitude=0.3)
     combo = md.State(phi1=2.0 * ua.phi1 - 0.5 * ub.phi1,
                      phi2=2.0 * ua.phi2 - 0.5 * ub.phi2, tau=0.0)
-    kw = dict(nonlinear=False, projection=projection)
+    kw = dict(nonlinear=False, projection=sp.riesz_projection(ops))
     ta = ev.integrate(ua, 1.0, ops, grid, params, **kw)
     tb = ev.integrate(ub, 1.0, ops, grid, params, **kw)
     tc = ev.integrate(combo, 1.0, ops, grid, params, **kw)
@@ -283,11 +292,13 @@ def suite_rhs(params, grid, ops, projection, seed=0):
     return out
 
 
-def suite_evolve(params, seed=0, tau_end=8.0):
+def suite_evolve(params, n, seed):
+    """Growth, decay, convergence and tuning of the evolution, on grids of
+    its own (48, 64 and 72 points, and 32 at p=3): n is not used."""
     out = []
-    n = 48
-    grid = build_grid(n)
-    gdata = build_grid(n, 1.5)
+    tau_end = 8.0
+    grid = build_grid(48)
+    gdata = build_grid(48, 1.5)
     ops = sp.assemble_L(grid, params)
     proj = sp.riesz_projection(ops)
     rng = np.random.default_rng(seed)
@@ -367,16 +378,10 @@ def suite_evolve(params, seed=0, tau_end=8.0):
     return out
 
 
+SUITES = (suite_specfun, suite_lipschitz, suite_model, suite_spectral,
+          suite_rhs, suite_evolve)
+
+
 def run_all(p=3.0, n=96, eps=0.1, seed=0):
     params = md.params_new(p, eps=eps)
-    grid = build_grid(n)
-    ops = sp.assemble_L(grid, params)
-    proj = sp.riesz_projection(ops)
-    results = []
-    results += suite_specfun(seed)
-    results += suite_lipschitz(params, grid, seed)
-    results += suite_model(params, n, seed)
-    results += suite_spectral(params, 64, n if n >= 96 else 96, seed)
-    results += suite_rhs(params, grid, ops, proj, seed)
-    results += suite_evolve(params, seed)
-    return results
+    return [res for suite in SUITES for res in suite(params, n, seed)]

@@ -10,7 +10,7 @@ import pytest
 from blowlab import evolve as ev
 from blowlab import model as md
 from blowlab.errors import DomainError
-from blowlab.grid import bary_interp, build_grid
+from blowlab.grid import bary_interp
 from conftest import cached_grid, cached_params
 
 
@@ -257,13 +257,5 @@ def test_energy_norm_background_value():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_energy_blowup_slope(p):
-    pr = cached_params(p)
-    ts = np.linspace(0.0, 0.9, 46)
-    vals = []
-    for t in ts:
-        gr = build_grid(48, 1.0 - t)
-        pair = md.RadialPair(f=np.full(48, md.psi_T(pr, t)),
-                             g=np.full(48, md.psi_T_t(pr, t)), grid=gr)
-        vals.append(md.energy_norm(pair))
-    slope = np.polyfit(np.log(1.0 - ts), np.log(vals), 1)[0]
+    _, _, slope = md.energy_blowup(cached_params(p), 48)
     assert slope == pytest.approx(-(5.0 - p) / (2.0 * (p - 1.0)), abs=1e-10)
