@@ -18,7 +18,7 @@ from .grid import Grid, bary_interp, build_grid
 from .model import (DataPair, Params, RadialPair, State, U_map, avg_A,
                     data_to_v, energy_norm, nonlin_N, params_new,
                     psi_T, psi_T_t, reconstruct_field)
-from .specfun import HypParams, hyp2f1, ln_gamma, rgamma
+from .specfun import HypParams, hyp2f1, rgamma
 from .spectral import (OperatorMatrices, ProjectionResult, SpectrumReport,
                        analytic_eigenvalues, assemble_L, discrete_eigenvalues,
                        eigenfunction_analytic, quantization_Q,

@@ -153,11 +153,17 @@ def cmd_energy(args):
 
 
 def cmd_validate(args):
-    results = vl.run_all(p=args.p, n=args.n, eps=args.eps, seed=args.seed)
-    failures = 0
-    for res in results:
-        print(res.line())
-        failures += 0 if res.ok else 1
+    params = md.params_new(args.p, eps=args.eps)
+    results = []
+    for suite in vl.SUITES:
+        # print each suite as it finishes, so the checks that ran stay on
+        # stdout when a later suite stops the run with an exception
+        batch = suite(params, args.n, args.seed)
+        for res in batch:
+            print(res.line())
+        sys.stdout.flush()
+        results += batch
+    failures = sum(not res.ok for res in results)
     print(f"validate: {len(results) - failures}/{len(results)} checks passed")
     if args.out:
         with open(args.out, "w") as fh:

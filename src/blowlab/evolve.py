@@ -427,19 +427,15 @@ def duhamel_residual(traj, ops, grid, params):
     kmax = int(min(taus.size - 1, math.floor(3.0 / ds + 1e-9)))
     nl = [nonlinear_term(grid, params, st.phi2) if traj.nonlinear
           else np.zeros(2 * grid.n) for st in traj.states[:kmax + 1]]
-    # propagated[j] = E^(k-j) applied incrementally as k advances
-    u0 = traj.states[0].stacked()
-    prop0 = u0.copy()
-    prop_nl = [v.copy() for v in nl]
+    # acc = E^k u0 + ds (E^k nl_0 / 2 + sum_{0<j<k} E^(k-j) nl_j), advanced
+    # by one matvec per sample; the trapezoid's last half weight is added
+    # in the defect
+    acc = traj.states[0].stacked()
     worst = 0.0
     for k in range(1, kmax + 1):
-        prop0 = E @ prop0
-        for j in range(k):
-            prop_nl[j] = E @ prop_nl[j]
-        integral = 0.5 * (prop_nl[0] + nl[k])
-        for j in range(1, k):
-            integral = integral + prop_nl[j]
-        defect = traj.states[k].stacked() - prop0 - ds * integral
+        weight = 0.5 if k == 1 else 1.0
+        acc = E @ (acc + weight * ds * nl[k - 1])
+        defect = traj.states[k].stacked() - acc - 0.5 * ds * nl[k]
         worst = max(worst, state_norm(grid, defect))
     return worst
 

@@ -39,8 +39,13 @@ class Params:
 
     @property
     def kappa_root(self):
-        """kappa0^(1/(p-1)), the amplitude of psi^T at T - t = 1."""
-        return self.kappa0 ** (1.0 / (self.p - 1.0))
+        """kappa0^(1/(p-1)), the amplitude of psi^T at T - t = 1; it
+        overflows a float below p of about 1.014."""
+        try:
+            return self.kappa0 ** (1.0 / (self.p - 1.0))
+        except OverflowError:
+            raise DomainError(f"p={self.p}: kappa0^(1/(p-1)) overflows a "
+                              f"float (kappa0={self.kappa0:.6g})") from None
 
 
 def params_new(p, T=1.0, eps=0.1):

@@ -1,17 +1,17 @@
-"""Real special functions: log-Gamma, reciprocal Gamma, Gauss 2F1.
+"""Real special functions: reciprocal Gamma, digamma, Gauss 2F1.
 
-Self-contained implementations sized for the eigenvalue quantization and
-eigenfunction evaluations of the spectral module:
+Implementations sized for the eigenvalue quantization and eigenfunction
+evaluations of the spectral module, on top of `math.lgamma`/`math.gamma`:
 
-* ln_gamma uses a fixed-coefficient Lanczos approximation (g = 7, 9 terms),
-  pushed below x = 0.5 by the recurrence Gamma(x) = Gamma(x+1)/x.
 * rgamma extends 1/Gamma to the whole real line by reflection and returns
   an exact 0.0 at the poles x = 0, -1, -2, ...  This is what makes the
   quantization function vanish exactly at eigenvalue candidates.
 * hyp2f1(a, b, c, z) on z in [0, 1) sums the defining series for z <= 1/2
-  and switches to the z -> 1-z connection formula beyond, including the
-  logarithmic limit branch when c - a - b is within 1e-6 of an integer.
-  Arguments are canonicalized to a <= b so the a/b symmetry is exact.
+  and switches to the z -> 1-z connection formula beyond.
+  When c - a - b is within 1e-6 of an integer m it uses the logarithmic
+  limit for m >= 0 (DLMF 15.8.10) and maps m < 0 onto it by Euler's
+  transformation (DLMF 15.8.1).  Arguments are canonicalized to a <= b so
+  the a/b symmetry is exact.
 
 Series stop when |term| < 1e-16 * |partial sum| and error out after 500
 terms.  Complex parameters and z >= 1 are out of scope.
@@ -22,40 +22,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.9189385332046727417803297364
 _SERIES_TOL = 1e-16
 _MAX_TERMS = 500
 _DEGENERATE_WINDOW = 1e-6
-
-
-def _lanczos_sum(x):
-    s = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
-    return s
-
-
-def ln_gamma(x):
-    """log Gamma(x) for x > 0, relative error below 1e-13 on [0.1, 50]."""
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma: x={x} out of range: need x > 0")
-    if x < 0.5:
-        # Gamma(x) = Gamma(x + 1)/x
-        return ln_gamma(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_sum(x))
 
 
 def _sinpi(x):
@@ -69,20 +38,11 @@ def _sinpi(x):
 def rgamma(x):
     """1/Gamma(x), entire in x; exactly 0.0 at x = 0, -1, -2, ..."""
     if x > 0.5:
-        return math.exp(-ln_gamma(x))
+        return math.exp(-math.lgamma(x))
     if x == round(x):  # poles of Gamma
         return 0.0
     # reflection: 1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi
-    return _sinpi(x) * math.exp(ln_gamma(1.0 - x)) / math.pi
-
-
-def _gamma(x):
-    """Gamma(x) on the real line; +-inf at the poles."""
-    if x > 0.5:
-        return math.exp(ln_gamma(x))
-    if x == round(x):
-        return math.copysign(math.inf, _sinpi(x + 0.5))
-    return math.pi / (_sinpi(x) * math.exp(ln_gamma(1.0 - x)))
+    return _sinpi(x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
 def _digamma(x):
@@ -157,8 +117,8 @@ def _connection_regular(a, b, c, z):
     """z -> 1-z linear transformation, c - a - b away from integers."""
     w = 1.0 - z
     d = c - a - b
-    coef1 = _gamma(c) * _gamma(d) * rgamma(c - a) * rgamma(c - b)
-    coef2 = _gamma(c) * _gamma(-d) * rgamma(a) * rgamma(b)
+    coef1 = math.gamma(c) * math.gamma(d) * rgamma(c - a) * rgamma(c - b)
+    coef2 = math.gamma(c) * math.gamma(-d) * rgamma(a) * rgamma(b)
     out = 0.0
     if coef1 != 0.0:
         out += coef1 * _series(a, b, 1.0 - d, w)
@@ -167,68 +127,28 @@ def _connection_regular(a, b, c, z):
     return out
 
 
-def _connection_degenerate(a, b, c, z, m):
-    """Logarithmic limit of the connection formula at c - a - b = m."""
+def _connection_degenerate(a, b, z, m):
+    """Logarithmic limit of the connection formula at c = a + b + m, m >= 0
+    (DLMF 15.8.10); the finite sum is empty when m = 0."""
     w = 1.0 - z
     logw = math.log(w)
-    if m == 0:
-        pre = _gamma(a + b) * rgamma(a) * rgamma(b)
-        term = 1.0
-        total = 0.0
-        for n in range(_MAX_TERMS):
-            bracket = (2.0 * _digamma(n + 1.0) - _digamma(a + n)
-                       - _digamma(b + n) - logw)
-            piece = term * bracket
-            total += piece
-            if n > 2 and abs(piece) < _SERIES_TOL * abs(total):
-                return pre * total
-            term *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-        raise NonConvergenceError(
-            f"hyp2f1 logarithmic branch failed at a={a}, b={b}, z={z}")
-    if m > 0:
-        # c = a + b + m
-        finite = 0.0
-        term = 1.0
-        for n in range(m):
-            finite += term
-            term *= (a + n) * (b + n) / ((n + 1.0) * (1.0 - m + n)) * w \
-                if n < m - 1 else 0.0
-        part1 = _gamma(m) * _gamma(a + b + m) * rgamma(a + m) \
-            * rgamma(b + m) * finite
-        pre2 = _gamma(a + b + m) * rgamma(a) * rgamma(b) * (-1.0) ** m * w**m
-        term = 1.0 / math.factorial(m)
-        total = 0.0
-        for n in range(_MAX_TERMS):
-            bracket = (logw - _digamma(n + 1.0) - _digamma(n + m + 1.0)
-                       + _digamma(a + m + n) + _digamma(b + m + n))
-            piece = term * bracket
-            total += piece
-            if n > 2 and abs(piece) < _SERIES_TOL * abs(total):
-                return part1 - pre2 * total
-            term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-        raise NonConvergenceError(
-            f"hyp2f1 logarithmic branch failed at a={a}, b={b}, z={z}")
-    # c = a + b - M with M = -m > 0
-    M = -m
-    finite = 0.0
-    term = 1.0
-    for n in range(M):
-        finite += term
-        term *= (a - M + n) * (b - M + n) / ((n + 1.0) * (1.0 - M + n)) * w \
-            if n < M - 1 else 0.0
-    part1 = _gamma(M) * _gamma(a + b - M) * rgamma(a) * rgamma(b) \
-        * w ** (-M) * finite
-    pre2 = _gamma(a + b - M) * rgamma(a - M) * rgamma(b - M) * (-1.0) ** M
-    term = 1.0 / math.factorial(M)
+    gam_c = math.gamma(a + b + m)
+    part1 = 0.0
+    term = gam_c * rgamma(a + m) * rgamma(b + m)
+    for k in range(m):
+        part1 += term * math.gamma(m - k)
+        term *= (a + k) * (b + k) / (k + 1.0) * -w
+    pre2 = gam_c * rgamma(a) * rgamma(b) * (-w) ** m
+    term = 1.0 / math.factorial(m)
     total = 0.0
     for n in range(_MAX_TERMS):
-        bracket = (logw - _digamma(n + 1.0) - _digamma(n + M + 1.0)
-                   + _digamma(a + n) + _digamma(b + n))
+        bracket = (logw - _digamma(n + 1.0) - _digamma(n + m + 1.0)
+                   + _digamma(a + m + n) + _digamma(b + m + n))
         piece = term * bracket
         total += piece
         if n > 2 and abs(piece) < _SERIES_TOL * abs(total):
             return part1 - pre2 * total
-        term *= (a + n) * (b + n) / ((n + 1.0) * (n + M + 1.0)) * w
+        term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
     raise NonConvergenceError(
         f"hyp2f1 logarithmic branch failed at a={a}, b={b}, z={z}")
 
@@ -237,9 +157,10 @@ def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for real parameters, z in [0, 1).
 
     Relative error below 1e-10 on |a|, |b| <= 10 with c bounded away from
-    non-positive integers; inside the 1e-6 degenerate window the value of
-    the logarithmic limit formula at the nearest integer c - a - b is
-    returned.
+    non-positive integers.  Inside the 1e-6 window around an integer
+    m = c - a - b the logarithmic limit formula at that integer is
+    returned, for m < 0 after Euler's transformation
+    F(a, b; c; z) = (1 - z)^(c-a-b) F(c - a, c - b; c; z).
     """
     if not (0.0 <= z < 1.0):
         raise DomainError(f"hyp2f1: z={z} out of range: need 0 <= z < 1")
@@ -253,6 +174,8 @@ def hyp2f1(a, b, c, z):
         return _series(a, b, c, z)
     d = c - a - b
     m = round(d)
-    if abs(d - m) < _DEGENERATE_WINDOW:
-        return _connection_degenerate(a, b, c, z, int(m))
-    return _connection_regular(a, b, c, z)
+    if abs(d - m) >= _DEGENERATE_WINDOW:
+        return _connection_regular(a, b, c, z)
+    if m < 0:
+        return (1.0 - z) ** d * hyp2f1(c - a, c - b, c, z)
+    return _connection_degenerate(a, b, z, m)

@@ -8,6 +8,7 @@ from blowlab import model as md
 from blowlab import spectral as spec
 from blowlab import validate as vl
 from blowlab.cli import main
+from blowlab.errors import SolverError
 
 
 def run(args):
@@ -48,6 +49,17 @@ def test_spectrum_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(spec, "_eigvals", boom)
     assert run(["spectrum", "--p", "3", "--n", "64",
                 "--out", str(tmp_path / "x.json")]) == 3
+
+
+@pytest.mark.parametrize("command,code", [("validate", 2), ("evolve", 2),
+                                          ("energy", 2), ("spectrum", 0)])
+def test_exponent_near_one(tmp_path, capsys, command, code):
+    # kappa0^(1/(p-1)) overflows a float at p = 1.01; the spectrum never
+    # forms it
+    assert run([command, "--p", "1.01", "--n", "32",
+                "--out", str(tmp_path / "x.out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain:") if code else err == ""
 
 
 def test_evolve_zero_amplitude_trajectory(tmp_path):
@@ -131,3 +143,15 @@ def test_fault_injection_trips_lipschitz_and_rhs_suites(tmp_path, capsys,
               if line.startswith("FAIL")]
     assert any(line.startswith("FAIL lipschitz/") for line in failed)
     assert any(line.startswith("FAIL rhs/") for line in failed)
+
+
+def test_validate_prints_suites_before_a_solver_error(capsys, monkeypatch):
+    def broken(params, n, seed):
+        raise SolverError("series failed (injected)")
+
+    monkeypatch.setattr(vl, "SUITES", (vl.suite_lipschitz, broken))
+    assert run(["validate", "--p", "3", "--n", "48"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines and all(line.startswith("PASS lipschitz/") for line in lines)
+    assert captured.err.startswith("error: solver:")

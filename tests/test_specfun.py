@@ -10,28 +10,8 @@ import pytest
 import scipy.special as sps
 
 from blowlab.errors import DomainError
-from blowlab.specfun import HypParams, hyp2f1, ln_gamma, rgamma
+from blowlab.specfun import HypParams, hyp2f1, rgamma
 from blowlab.specfun import _connection_regular, _digamma, _series
-
-
-def test_ln_gamma_known_values():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-
-def test_ln_gamma_against_scipy_sweep():
-    xs = np.linspace(0.1, 50.0, 1777)
-    worst = max(abs(ln_gamma(x) - sps.gammaln(x))
-                / max(abs(sps.gammaln(x)), 1.0) for x in xs)
-    assert worst <= 1e-13
-
-
-def test_ln_gamma_domain():
-    with pytest.raises(DomainError):
-        ln_gamma(0.0)
-    with pytest.raises(DomainError):
-        ln_gamma(-1.3)
 
 
 def test_rgamma_exact_pole_zeros():
@@ -55,7 +35,7 @@ def test_rgamma_against_scipy_sweep():
 
 def test_rgamma_lngamma_inverse_identity():
     xs = np.linspace(0.1, 30.0, 999)
-    worst = max(abs(rgamma(x) * math.exp(ln_gamma(x)) - 1.0) for x in xs)
+    worst = max(abs(rgamma(x) * math.exp(math.lgamma(x)) - 1.0) for x in xs)
     assert worst <= 1e-12
 
 
@@ -166,6 +146,20 @@ def test_hyp2f1_against_scipy_general_sweep():
         ref = sps.hyp2f1(a, b, c, z)
         assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-9, abs=1e-11)
         checked += 1
+
+
+@pytest.mark.parametrize("m", range(-4, 5))
+def test_hyp2f1_degenerate_window_against_scipy(m):
+    # c - a - b = m exactly: the logarithmic limit, after Euler's
+    # transformation for m < 0, on the branch z > 1/2
+    rng = np.random.default_rng(100 + m)
+    for _ in range(30):
+        a = rng.uniform(-6.0, 6.0)
+        c = rng.uniform(0.2, 5.0)
+        b = c - a - m
+        z = rng.uniform(0.5, 0.97)
+        ref = sps.hyp2f1(a, b, c, z)
+        assert hyp2f1(a, b, c, z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_hyp2f1_domain_errors():
