@@ -15,9 +15,9 @@ from .evolve import (OracleSample, Trajectory, TuneStep, decay_fit,
                      duhamel_residual, integrate, physical_oracle,
                      stable_dtau, tune_T, unstable_coefficient)
 from .grid import Grid, bary_interp, build_grid
-from .model import (DataPair, Params, RadialPair, State, U_map, avg_A,
-                    data_to_v, energy_norm, nonlin_N, params_new,
-                    psi_T, psi_T_t, reconstruct_field)
+from .model import (DataPair, Params, RadialPair, U_map, avg_A, data_to_v,
+                    energy_norm, nonlin_N, params_new, psi_T, psi_T_t,
+                    reconstruct_field)
 from .specfun import HypParams, hyp2f1, rgamma
 from .spectral import (OperatorMatrices, ProjectionResult, SpectrumReport,
                        analytic_eigenvalues, assemble_L, discrete_eigenvalues,

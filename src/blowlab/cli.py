@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,8 +31,7 @@ from .grid import build_grid
 
 
 def _summary_path(out):
-    stem = out.rsplit(".", 1)[0] if "." in out else out
-    return stem + ".summary.json"
+    return os.path.splitext(out)[0] + ".summary.json"
 
 
 def cmd_spectrum(args):
@@ -96,7 +96,7 @@ def cmd_evolve(args):
         "integrator": {"scheme": ev.SCHEME, "substep": h,
                        "steps": nsub * (len(traj.taus) - 1)},
     }
-    span = float(traj.taus[-1] - traj.taus[0])
+    span = float(traj.taus[-1])
     window = (min(2.0, 0.5 * span), float(traj.taus[-1]) - min(1.0, 0.2 * span))
     if traj.norms.max() > 1e-14:
         summary["xnorm_mu"] = traj.xnorm(params.mu)
@@ -229,6 +229,8 @@ def main(argv=None):
     handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
                "energy": cmd_energy, "validate": cmd_validate}[args.command]
     try:
+        if args.seed < 0:
+            raise DomainError(f"seed={args.seed} out of range: need seed >= 0")
         return handler(args)
     except DomainError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)

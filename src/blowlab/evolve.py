@@ -27,7 +27,7 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      StepSizeError)
 from .grid import bary_interp
-from .model import State, avg_A, nonlin_N
+from .model import U_map, avg_A, nonlin_N
 from .spectral import riesz_projection, state_norm
 
 SCHEME = "lawson-rk4"
@@ -96,12 +96,13 @@ def substeps(dtau):
     return nsub, _SAMPLE_DTAU / nsub
 
 
-def nonlinear_term(grid, params, phi2):
-    """The nonlinear part (rho N(A phi2), 0) of the right-hand side as a
-    stacked vector, with row 0 zeroed like the boundary row of L."""
+def nonlinear_term(grid, params, u):
+    """The nonlinear part (rho N(A phi2), 0) of the right-hand side at the
+    stacked state u = (phi1, phi2), with row 0 zeroed like the boundary row
+    of L."""
     n = grid.n
     out = np.zeros(2 * n)
-    out[:n] = grid.nodes * nonlin_N(params, avg_A(grid, phi2))
+    out[:n] = grid.nodes * nonlin_N(params, avg_A(grid, u[n:]))
     out[0] = 0.0
     return out
 
@@ -119,27 +120,23 @@ class TuneStep(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Sampled evolution: (tau, State, L2 norm, unstable coefficient).
+    """Sampled evolution from tau = 0: the sample times, the stacked states
+    as the rows of a (samples x 2n) array, their L2 norms and their
+    unstable coefficients.
 
     A run returned by tune_T also carries its search history in `tuning`.
     """
 
     taus: np.ndarray
-    states: list
+    states: np.ndarray
     norms: np.ndarray
     unstable_coeffs: np.ndarray
     nonlinear: bool = True
     tuning: tuple = ()
 
-    @property
-    def samples(self):
-        return list(zip(self.taus, self.states, self.norms,
-                        self.unstable_coeffs))
-
     def xnorm(self, mu):
         """Weighted sup-norm sup_tau exp(mu tau) ||Phi(tau)||."""
-        return float(np.max(np.exp(mu * (self.taus - self.taus[0]))
-                            * self.norms))
+        return float(np.max(np.exp(mu * self.taus) * self.norms))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -148,17 +145,18 @@ class Trajectory:
                 fh.write(f"{tau:.10g},{nrm:.17g},{a:.17g}\n")
 
 
-def unstable_coefficient(state, projection):
-    """Coefficient a with P Phi = a g: the projection functional l @ Phi."""
+def unstable_coefficient(u, projection):
+    """Coefficient a with P u = a g: the projection functional l @ u."""
     if projection.rank != 1:
         raise DomainError(
             f"projection rank {projection.rank} out of range: need rank 1")
-    return float(projection.functional @ state.stacked())
+    return float(projection.functional @ u)
 
 
 def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
               dtau=None, projection=None):
-    """Lawson RK4 trajectory from `initial` to tau_end, sampled every 0.1.
+    """Lawson RK4 trajectory from the stacked state `initial` at tau = 0
+    to tau_end, sampled every 0.1.
 
     Each step of length h propagates the linear part exactly with
     E2 = e^{hL/2} and E = E2^2 and applies classical RK4 to the nonlinear
@@ -169,36 +167,32 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     carrying the partial trajectory) once the perturbation norm exceeds 1,
     the boundary of the smallness regime.
     """
-    if tau_end <= initial.tau:
+    if not 0.0 < tau_end < math.inf:
         raise DomainError(
-            f"tau_end={tau_end} out of range: need tau_end > tau0={initial.tau}")
+            f"tau_end={tau_end} out of range: need 0 < tau_end < inf")
     nsub, h = substeps(stable_dtau(ops) if dtau is None else dtau)
     if projection is None:
         projection = riesz_projection(ops)
-    nsamples = int(math.floor((tau_end - initial.tau) / _SAMPLE_DTAU + 1e-9))
+    nsamples = int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
 
-    n = grid.n
-    u = initial.stacked().astype(float)
+    u = np.array(initial, dtype=float)
     u[0] = 0.0
-    tau0 = initial.tau
     taus, states, norms, coeffs = [], [], [], []
 
     def record(k, vec):
-        tau = tau0 + _SAMPLE_DTAU * k
-        st = State.from_stacked(vec, tau)
-        taus.append(tau)
-        states.append(st)
+        taus.append(_SAMPLE_DTAU * k)
+        states.append(vec)
         norms.append(state_norm(grid, vec))
-        coeffs.append(unstable_coefficient(st, projection))
+        coeffs.append(unstable_coefficient(vec, projection))
 
     def partial_trajectory():
-        return Trajectory(taus=np.array(taus), states=states,
+        return Trajectory(taus=np.array(taus), states=np.array(states),
                           norms=np.array(norms),
                           unstable_coeffs=np.array(coeffs),
                           nonlinear=nonlinear)
 
     def N(v):
-        return nonlinear_term(grid, params, v[n:])
+        return nonlinear_term(grid, params, v)
 
     record(0, u)
     E2 = _expm(0.5 * h * ops.L)
@@ -283,27 +277,21 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     `tuning` holds one TuneStep per target evaluation, in order; the first
     is at T_lin.
     """
-    from .model import U_map, params_new
-
     tau_probe = tau_end - 1.0
     lo, hi = _T_DOMAIN
 
-    def initial(T):
-        pT = params_new(params.p, T=T, eps=params.eps)
-        return pT, U_map(v, T, pT, grid)
-
     def predicted(T):
-        return unstable_coefficient(initial(T)[1], projection)
+        return unstable_coefficient(U_map(v, T, params, grid), projection)
 
     runs = {}      # T -> (TuneStep, trajectory, AmplitudeAbort or None)
 
     def target(T):
         if T not in runs:
             start = time.perf_counter()
-            pT, init = initial(T)
             try:
-                traj = integrate(init, tau_end, ops, grid, pT, nonlinear=True,
-                                 dtau=dtau, projection=projection)
+                traj = integrate(U_map(v, T, params, grid), tau_end, ops,
+                                 grid, params, nonlinear=True, dtau=dtau,
+                                 projection=projection)
             except AmplitudeAbort as exc:
                 traj, abort = exc.trajectory, exc
                 a, abort_tau = traj.unstable_coeffs[-1], float(traj.taus[-1])
@@ -407,7 +395,7 @@ def _bracket_ends(T_lin, direction):
 
 def duhamel_residual(traj, ops, grid, params):
     """Max defect of Phi(tau) = e^{tau L} Phi(0) + int_0^tau e^{(tau-s)L} N(Phi(s)) ds
-    over the stored samples with tau - tau0 <= 3.
+    over the stored samples with tau <= 3.
 
     The semigroup is realized by the matrix exponential of the discretized
     generator at the sample spacing; the Duhamel integral uses trapezoid
@@ -425,17 +413,17 @@ def duhamel_residual(traj, ops, grid, params):
     ds = float(spacing[0])
     E = _expm(ds * ops.L)
     kmax = int(min(taus.size - 1, math.floor(3.0 / ds + 1e-9)))
-    nl = [nonlinear_term(grid, params, st.phi2) if traj.nonlinear
-          else np.zeros(2 * grid.n) for st in traj.states[:kmax + 1]]
+    nl = [nonlinear_term(grid, params, u) if traj.nonlinear
+          else np.zeros(2 * grid.n) for u in traj.states[:kmax + 1]]
     # acc = E^k u0 + ds (E^k nl_0 / 2 + sum_{0<j<k} E^(k-j) nl_j), advanced
     # by one matvec per sample; the trapezoid's last half weight is added
     # in the defect
-    acc = traj.states[0].stacked()
+    acc = traj.states[0]
     worst = 0.0
     for k in range(1, kmax + 1):
         weight = 0.5 if k == 1 else 1.0
         acc = E @ (acc + weight * ds * nl[k - 1])
-        defect = traj.states[k].stacked() - acc - 0.5 * ds * nl[k]
+        defect = traj.states[k] - acc - 0.5 * ds * nl[k]
         worst = max(worst, state_norm(grid, defect))
     return worst
 
@@ -449,10 +437,10 @@ def correction_residual(traj, grid, params, projection):
     functional (P N = l(N) g).  Returns the magnitude of the left side
     with the integral truncated at the last sample (trapezoid rule).
     """
-    taus = traj.taus - traj.taus[0]
+    taus = traj.taus
     vals = np.empty(taus.size)
-    for j, st in enumerate(traj.states):
-        nl = nonlinear_term(grid, params, st.phi2)
+    for j, u in enumerate(traj.states):
+        nl = nonlinear_term(grid, params, u)
         vals[j] = np.exp(-taus[j]) * (projection.functional @ nl)
     integral = float(np.trapezoid(vals, taus))
     return abs(traj.unstable_coeffs[0] + integral)

@@ -5,6 +5,10 @@ space-homogeneous blow-up solution psi_T, the expanded nonlinearity N, the
 running average A, the initial data maps v/kappa/U relative to psi^1,
 field reconstruction from similarity-coordinate states, and the local
 energy norm on a cone section with its blow-up table.
+
+A similarity-coordinate state is the stacked float vector u = (phi1, phi2)
+of length 2n on the n-point unit-interval grid; phi1 = u[:n] vanishes at
+rho = 0 (boundary condition).
 """
 
 from dataclasses import dataclass
@@ -82,27 +86,6 @@ class DataPair:
     grid: Grid
 
 
-@dataclass
-class State:
-    """Similarity-coordinate perturbation (phi1, phi2) at time tau.
-
-    phi1 vanishes at rho = 0 (boundary condition); both components are
-    finite grid functions on the unit-interval collocation grid.
-    """
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    tau: float
-
-    def stacked(self):
-        return np.concatenate([self.phi1, self.phi2])
-
-    @classmethod
-    def from_stacked(cls, vec, tau):
-        n = vec.size // 2
-        return cls(phi1=vec[:n].copy(), phi2=vec[n:].copy(), tau=float(tau))
-
-
 def psi_T(params, t):
     """The space-homogeneous blow-up solution kappa0^(1/(p-1)) (T-t)^(-2/(p-1))."""
     if t >= params.T:
@@ -160,33 +143,32 @@ def data_to_v(fg, params):
 
 def _kappa_pair(params, rho):
     k = params.kappa_root
-    return (2.0 * rho / (params.p - 1.0)) * k, k * np.ones_like(rho)
+    return np.concatenate([(2.0 * rho / (params.p - 1.0)) * k,
+                           k * np.ones_like(rho)])
 
 
 def U_map(v, T, params, grid):
     """Initial state U(v, T)(rho) = T^(2/(p-1)) [v(T rho) + kappa(T rho)] - kappa(rho).
 
     v lives on its own grid over [0, 3/2] and is resampled to the points
-    T*rho by barycentric interpolation; the result is a State on the
-    unit-interval grid with tau = 0.
+    T*rho by barycentric interpolation; the result is the stacked state
+    (phi1, phi2) on the unit-interval grid.
     """
     if not 0.5 < T < 1.5:
         raise DomainError(f"T={T} out of range (1/2, 3/2)")
     rho = grid.nodes
     scaled = T * rho
-    v1s = bary_interp(v.grid, v.v1, scaled)
-    v2s = bary_interp(v.grid, v.v2, scaled)
-    k1s, k2s = _kappa_pair(params, scaled)
-    k1, k2 = _kappa_pair(params, rho)
+    vs = np.concatenate([bary_interp(v.grid, v.v1, scaled),
+                         bary_interp(v.grid, v.v2, scaled)])
     amp = T ** (2.0 / (params.p - 1.0))
-    phi1 = amp * (v1s + k1s) - k1
-    phi2 = amp * (v2s + k2s) - k2
-    phi1[0] = 0.0
-    return State(phi1=phi1, phi2=phi2, tau=0.0)
+    u = amp * (vs + _kappa_pair(params, scaled)) - _kappa_pair(params, rho)
+    u[0] = 0.0
+    return u
 
 
-def reconstruct_field(state, tau, params, grid):
-    """Physical field (psi, psi_t) at similarity time tau from a State.
+def reconstruct_field(u, tau, params, grid):
+    """Physical field (psi, psi_t) at similarity time tau from the stacked
+    state u = (phi1, phi2).
 
     tau is the unshifted similarity time, t = T - exp(-tau) (so tau >=
     -log T); the output is sampled on r = rho (T - t) over [0, T - t].
@@ -199,11 +181,11 @@ def reconstruct_field(state, tau, params, grid):
     t = T - np.exp(-tau)
     scale = (T - t) ** (-2.0 / (params.p - 1.0))
     rho = grid.nodes
-    avg2 = avg_A(grid, state.phi2)
-    psi = psi_T(params, t) + scale * avg2
+    phi1, phi2 = u[:grid.n], u[grid.n:]
+    psi = psi_T(params, t) + scale * avg_A(grid, phi2)
     psi_t = np.empty_like(psi)
-    psi_t[1:] = psi_T_t(params, t) + scale * state.phi1[1:] / (rho[1:] * (T - t))
-    psi_t[0] = psi_T_t(params, t) + scale / (T - t) * (grid.D @ state.phi1)[0]
+    psi_t[1:] = psi_T_t(params, t) + scale * phi1[1:] / (rho[1:] * (T - t))
+    psi_t[0] = psi_T_t(params, t) + scale / (T - t) * (grid.D @ phi1)[0]
     r_grid = build_grid(grid.n, length=T - t)
     return RadialPair(f=psi, g=psi_t, grid=r_grid)
 
@@ -243,21 +225,18 @@ def energy_blowup(params, n):
 
 
 def random_polynomial_state(grid, rng, amplitude=1e-3, degree=6):
-    """Seeded smooth perturbation: phi1 = rho * poly(rho), phi2 = poly(rho),
-    normalized so the quadrature L2 norm equals `amplitude`."""
+    """Seeded smooth stacked state: phi1 = rho * poly(rho), phi2 =
+    poly(rho), normalized so the quadrature L2 norm equals `amplitude`."""
     rho = grid.nodes
     c1 = rng.standard_normal(degree)
     c2 = rng.standard_normal(degree)
-    phi1 = rho * np.polyval(c1, rho)
-    phi2 = np.polyval(c2, rho)
-    nrm = np.sqrt(grid.integrate(phi1**2 + phi2**2))
+    u = np.concatenate([rho * np.polyval(c1, rho), np.polyval(c2, rho)])
+    nrm = np.sqrt(grid.integrate(u[:grid.n]**2 + u[grid.n:]**2))
     if amplitude > 0.0 and nrm > 0.0:
-        phi1 *= amplitude / nrm
-        phi2 *= amplitude / nrm
+        u *= amplitude / nrm
     else:
-        phi1[:] = 0.0
-        phi2[:] = 0.0
-    return State(phi1=phi1, phi2=phi2, tau=0.0)
+        u[:] = 0.0
+    return u
 
 
 def random_polynomial_data(grid, rng, params, amplitude=1e-3, degree=4):
@@ -267,6 +246,9 @@ def random_polynomial_data(grid, rng, params, amplitude=1e-3, degree=4):
     The perturbations are polynomials in r^2: regular radial fields are
     even in r, and odd content would spoil smoothness at the origin.
     """
+    if not abs(amplitude) < np.inf:
+        raise DomainError(f"amplitude={amplitude} out of range: need a "
+                          f"finite amplitude")
     r2 = grid.nodes**2
     k = params.kappa_root
     pf = np.polyval(rng.standard_normal(degree), r2)

@@ -5,12 +5,13 @@ The generator splits as L = L0 + L' with
     L0 u = (u2' - rho u1' - (2/(p-1)) u1,  u1' - rho u2' - (2/(p-1)) u2)
     L' u = (p kappa0 int_0^rho u2,  0)
 
-discretized by Chebyshev collocation.  The rho = 0 boundary condition
-u1(0) = 0 is enforced by replacing the first row of L with a penalty row
--50 e0; this pins a single artificial eigenvalue at -50 and leaves all
-admissible eigenvectors and the Riesz projection untouched.  It lies left
-of the reported window Re(lam) > omega_tilde + 0.1 only for p > 1.0395
-(where omega_tilde + 0.1 = -50); for smaller p the window contains it.
+discretized by Chebyshev collocation and acting on stacked states
+u = (u1, u2).  The rho = 0 boundary condition u1(0) = 0 is enforced by
+replacing the first row of L with a penalty row -c e0, c = max(50,
+2/(p-1) + 10); this pins a single artificial eigenvalue at -c and leaves
+all admissible eigenvectors and the Riesz projection untouched.  For every
+p it lies at least 10.6 left of the reported window Re(lam) > omega_tilde
++ 0.1 (omega_tilde = 1/2 - 2/(p-1)), and c = 50 for p >= 1.05.
 
 Raw eigenvalues of the discretization are untrusted: the continuous part
 of the spectrum produces resolution-dependent values, so only eigenvalues
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .grid import Grid
-from .model import Params, State
+from .model import Params
 from .specfun import HypParams, hyp2f1, rgamma
 
 _BOUNDARY_PENALTY = 50.0
@@ -64,16 +65,16 @@ def assemble_L(grid, params):
     Lp[:n, n:] = params.p * params.kappa0 * grid.V
     L = L0 + Lp
     L[0, :] = 0.0
-    L[0, 0] = -_BOUNDARY_PENALTY
+    L[0, 0] = -max(_BOUNDARY_PENALTY, c + 10.0)
     for a in (L0, Lp, L):
         a.setflags(write=False)
     return OperatorMatrices(L0=L0, Lp=Lp, L=L, grid=grid, params=params)
 
 
 def symmetry_mode(grid, params):
-    """Eigenvector of L at eigenvalue 1: g = ((p+1)/(p-1) rho, 1)."""
+    """Eigenvector of L at eigenvalue 1: g = ((p+1)/(p-1) rho, 1), stacked."""
     q = (params.p + 1.0) / (params.p - 1.0)
-    return State(phi1=q * grid.nodes.copy(), phi2=np.ones(grid.n), tau=0.0)
+    return np.concatenate([q * grid.nodes, np.ones(grid.n)])
 
 
 def quantization_Q(lam, params):
@@ -83,7 +84,7 @@ def quantization_Q(lam, params):
     parameter map a = (lam-2)/2, b = (lam + (p+3)/(p-1))/2, c = 1/2.
     Q vanishes exactly at lam = 1 - 2k and lam = -2k - 2(p+1)/(p-1).
     """
-    if lam <= params.omega_tilde:
+    if not lam > params.omega_tilde:
         raise DomainError(
             f"lam={lam} out of range: need lam > omega_tilde={params.omega_tilde}")
     hp = HypParams.for_eigenvalue(lam, params.p)
@@ -92,7 +93,7 @@ def quantization_Q(lam, params):
 
 def analytic_eigenvalues(params, re_min):
     """Both quantization families intersected with (re_min, inf), sorted."""
-    if re_min <= params.omega_tilde:
+    if not re_min > params.omega_tilde:
         raise DomainError(
             f"re_min={re_min} out of range: need re_min > omega_tilde="
             f"{params.omega_tilde}")
@@ -143,7 +144,7 @@ def riesz_projection(ops):
     """
     L = ops.L
     dim = L.shape[0]
-    gvec = symmetry_mode(ops.grid, ops.params).stacked()
+    gvec = symmetry_mode(ops.grid, ops.params)
     border = np.block([[L.T - np.eye(dim), gvec[:, None]],
                        [gvec[None, :], np.zeros((1, 1))]])
     rhs = np.zeros(dim + 1)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, fault hook."""
 
 import json
+import os
 
 import pytest
 
@@ -60,6 +61,36 @@ def test_exponent_near_one(tmp_path, capsys, command, code):
                 "--out", str(tmp_path / "x.out")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: domain:") if code else err == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--seed", "-1"],
+    ["validate", "--seed", "-1"],
+    ["evolve", "--tau-end", "nan", "--no-tune"],
+    ["evolve", "--tau-end", "nan", "--tune-T"],
+    ["evolve", "--tau-end", "inf", "--no-tune"],
+    ["evolve", "--tau-end", "inf", "--tune-T"],
+    ["evolve", "--amplitude", "nan"],
+    ["evolve", "--amplitude", "inf"],
+    ["spectrum", "--halfplane", "nan"],
+], ids=" ".join)
+def test_bad_numeric_input(tmp_path, capsys, args):
+    assert run(args + ["--n", "32", "--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err.startswith("error: domain:")
+
+
+@pytest.mark.parametrize("out, summary", [
+    ("e.csv", "e.summary.json"),
+    ("run.v2/energy", "run.v2/energy.summary.json"),
+    ("./energy", "energy.summary.json"),
+])
+def test_summary_beside_output(tmp_path, monkeypatch, out, summary):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    assert run(["energy", "--p", "3", "--n", "32", "--out", out]) == 0
+    written = {str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")
+               if f.is_file()}
+    assert written == {os.path.normpath(out), summary}
 
 
 def test_evolve_zero_amplitude_trajectory(tmp_path):

@@ -25,7 +25,7 @@ def _setup(p=3.0, n=48):
 
 def _rhs(u, ops, grid, params):
     """The right-hand side L u + (rho N(A u2), 0) that integrate steps."""
-    return ops.L @ u + ev.nonlinear_term(grid, params, u[grid.n:])
+    return ops.L @ u + ev.nonlinear_term(grid, params, u)
 
 
 def test_rhs_zero_state():
@@ -36,14 +36,14 @@ def test_rhs_zero_state():
 
 def test_rhs_linear_on_symmetry_mode():
     params, grid, ops, _ = _setup()
-    gvec = sp.symmetry_mode(grid, params).stacked()
+    gvec = sp.symmetry_mode(grid, params)
     assert sp.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
 
 
 def test_rhs_nonlinear_extra_term():
     # A(phi2) = 1 on the symmetry mode, so the extra term is rho N(1)
     params, grid, ops, _ = _setup()
-    gvec = sp.symmetry_mode(grid, params).stacked()
+    gvec = sp.symmetry_mode(grid, params)
     extra = _rhs(gvec, ops, grid, params) - ops.L @ gvec
     expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
                              np.zeros(48)])
@@ -53,12 +53,12 @@ def test_rhs_nonlinear_extra_term():
 
 def test_integrate_symmetry_mode_grows_exponentially():
     params, grid, ops, proj = _setup()
-    gsym = sp.symmetry_mode(grid, params)
-    traj = ev.integrate(gsym, 2.0, ops, grid, params, nonlinear=False,
+    gvec = sp.symmetry_mode(grid, params)
+    traj = ev.integrate(gvec, 2.0, ops, grid, params, nonlinear=False,
                         dtau=1e-3, projection=proj)
-    gvec = gsym.stacked()
-    for tau, st, _, a in traj.samples:
-        err = sp.state_norm(grid, st.stacked() - math.exp(tau) * gvec)
+    assert traj.states.shape == (21, 96)
+    for tau, u, a in zip(traj.taus, traj.states, traj.unstable_coeffs):
+        err = sp.state_norm(grid, u - math.exp(tau) * gvec)
         assert err / math.exp(tau) <= 1e-6
         assert a == pytest.approx(math.exp(tau), rel=1e-6)
 
@@ -70,6 +70,15 @@ def test_integrate_step_size_guard():
         with pytest.raises(StepSizeError):
             ev.integrate(gsym, 1.0, ops, grid, params, nonlinear=False,
                          dtau=dtau, projection=proj)
+
+
+@pytest.mark.parametrize("tau_end", [0.0, -1.0, math.nan, math.inf])
+def test_integrate_tau_end_guard(tau_end):
+    # every run starts at tau = 0 and ends at a finite tau_end > 0
+    params, grid, ops, proj = _setup()
+    with pytest.raises(DomainError):
+        ev.integrate(sp.symmetry_mode(grid, params), tau_end, ops, grid,
+                     params, projection=proj)
 
 
 @pytest.mark.parametrize("n", [32, 48, 64, 96])
@@ -100,20 +109,17 @@ def test_integrate_superposition_linear():
     rng = np.random.default_rng(2)
     ua = md.random_polynomial_state(grid, rng, amplitude=0.3)
     ub = md.random_polynomial_state(grid, rng, amplitude=0.3)
-    combo = md.State(phi1=1.5 * ua.phi1 - 0.25 * ub.phi1,
-                     phi2=1.5 * ua.phi2 - 0.25 * ub.phi2, tau=0.0)
     kw = dict(nonlinear=False, dtau=1e-3, projection=proj)
     ta = ev.integrate(ua, 1.5, ops, grid, params, **kw)
     tb = ev.integrate(ub, 1.5, ops, grid, params, **kw)
-    tc = ev.integrate(combo, 1.5, ops, grid, params, **kw)
-    lin = 1.5 * ta.states[-1].stacked() - 0.25 * tb.states[-1].stacked()
-    assert sp.state_norm(grid, tc.states[-1].stacked() - lin) <= 1e-9
+    tc = ev.integrate(1.5 * ua - 0.25 * ub, 1.5, ops, grid, params, **kw)
+    lin = 1.5 * ta.states[-1] - 0.25 * tb.states[-1]
+    assert sp.state_norm(grid, tc.states[-1] - lin) <= 1e-9
 
 
 def test_amplitude_guard_carries_partial_trajectory():
     params, grid, ops, proj = _setup()
-    gsym = sp.symmetry_mode(grid, params)
-    big = md.State(phi1=0.3 * gsym.phi1, phi2=0.3 * gsym.phi2, tau=0.0)
+    big = 0.3 * sp.symmetry_mode(grid, params)
     with pytest.raises(AmplitudeAbort) as info:
         ev.integrate(big, 6.0, ops, grid, params, nonlinear=True,
                      dtau=1e-3, projection=proj)
@@ -129,9 +135,7 @@ def test_unstable_coefficient_projections():
                                                                 abs=1e-10)
     rng = np.random.default_rng(8)
     u = md.random_polynomial_state(grid, rng, amplitude=0.5)
-    stable_part = u.stacked() - proj.P @ u.stacked()
-    st = md.State.from_stacked(stable_part, 0.0)
-    assert abs(ev.unstable_coefficient(st, proj)) <= 1e-8
+    assert abs(ev.unstable_coefficient(u - proj.P @ u, proj)) <= 1e-8
 
 
 def test_unstable_coefficient_grows_at_unit_rate():
@@ -147,7 +151,7 @@ def test_unstable_coefficient_grows_at_unit_rate():
 
 def test_decay_fit_exact_synthetic():
     taus = np.arange(0.0, 5.01, 0.1)
-    traj = ev.Trajectory(taus=taus, states=[None] * taus.size,
+    traj = ev.Trajectory(taus=taus, states=np.zeros((taus.size, 96)),
                          norms=3.0 * np.exp(-0.5 * taus),
                          unstable_coeffs=np.zeros(taus.size))
     rate, amp = ev.decay_fit(traj, (0.0, 5.0))
@@ -163,15 +167,15 @@ def test_decay_fit_with_multiplicative_noise():
     rng = np.random.default_rng(77)
     taus = np.arange(0.0, 8.01, 0.1)
     norms = 2.0 * np.exp(-0.7 * taus) * (1.0 + 0.01 * rng.standard_normal(taus.size))
-    traj = ev.Trajectory(taus=taus, states=[None] * taus.size, norms=norms,
-                         unstable_coeffs=np.zeros(taus.size))
+    traj = ev.Trajectory(taus=taus, states=np.zeros((taus.size, 96)),
+                         norms=norms, unstable_coeffs=np.zeros(taus.size))
     rate, _ = ev.decay_fit(traj, (0.0, 8.0))
     assert rate == pytest.approx(0.7, abs=0.02)
 
 
 def test_decay_fit_degenerate_inputs():
     taus = np.arange(0.0, 5.01, 0.1)
-    traj = ev.Trajectory(taus=taus, states=[None] * taus.size,
+    traj = ev.Trajectory(taus=taus, states=np.zeros((taus.size, 96)),
                          norms=np.full(taus.size, 1e-16),
                          unstable_coeffs=np.zeros(taus.size))
     with pytest.raises(DegenerateFitError):
@@ -195,10 +199,8 @@ def test_linear_decay_on_stable_subspace(p):
     rng = np.random.default_rng(100)
     for _ in range(20):
         u = md.random_polynomial_state(grid, rng, amplitude=1e-3)
-        stable = md.State.from_stacked(u.stacked() - proj.P @ u.stacked(),
-                                       0.0)
-        traj = ev.integrate(stable, 8.0, ops, grid, params, nonlinear=False,
-                            projection=proj)
+        traj = ev.integrate(u - proj.P @ u, 8.0, ops, grid, params,
+                            nonlinear=False, projection=proj)
         rate, _ = ev.decay_fit(traj, (2.0, 8.0))
         assert rate >= abs(params.omega) - 0.15
         full = ev.integrate(u, 8.0, ops, grid, params, nonlinear=False,
@@ -208,13 +210,13 @@ def test_linear_decay_on_stable_subspace(p):
 
 
 def _count_integrations(monkeypatch):
-    """Wrap ev.integrate; the returned list collects the blow-up time T of
+    """Wrap ev.integrate; the returned list collects the initial state of
     each call."""
     calls = []
     integrate = ev.integrate
 
     def counted(initial, tau_end, ops, grid, params, **kwargs):
-        calls.append(params.T)
+        calls.append(initial)
         return integrate(initial, tau_end, ops, grid, params, **kwargs)
 
     monkeypatch.setattr(ev, "integrate", counted)
@@ -246,11 +248,14 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
         <= 10.0 * traj.norms[0]
     resid = ev.correction_residual(traj, grid, params, proj)
     assert resid <= 1e-4
-    # the search integrates each T once and records every integration
+    # the search integrates each T once, from U(v, T), and records every
+    # integration
+    Ts = [step.T for step in traj.tuning]
     assert len(calls) <= 8
-    assert [step.T for step in traj.tuning] == calls
-    assert len(set(calls)) == len(calls)
-    assert t_star in calls
+    assert len(Ts) == len(calls) == len(set(Ts))
+    for T, init in zip(Ts, calls):
+        assert np.array_equal(init, md.U_map(v, T, params, grid))
+    assert t_star in Ts
 
 
 def test_tune_T_no_sign_change_raises(monkeypatch):
@@ -265,7 +270,8 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
                   projection=proj)
 
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
-    partial = ev.Trajectory(taus=np.array([0.0, 0.1]), states=[],
+    partial = ev.Trajectory(taus=np.array([0.0, 0.1]),
+                            states=np.zeros((2, 96)),
                             norms=np.array([0.5, 2.0]),
                             unstable_coeffs=np.array([0.5, 2.0]))
 
@@ -283,9 +289,8 @@ def test_tune_T_derivative_sign_at_one():
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=gdata)
 
     def a_probe(T):
-        pT = md.params_new(params.p, T=T, eps=params.eps)
-        init = md.U_map(zero, T, pT, grid)
-        tr = ev.integrate(init, 3.0, ops, grid, pT, nonlinear=True,
+        init = md.U_map(zero, T, params, grid)
+        tr = ev.integrate(init, 3.0, ops, grid, params, nonlinear=True,
                           projection=proj)
         return tr.unstable_coeffs[-1]
 
@@ -299,8 +304,7 @@ def test_duhamel_residual_zero_and_linear():
     grid = cached_grid(64)
     ops = cached_ops(3.0, 64)
     proj = cached_projection(3.0, 64)
-    zero = md.State(phi1=np.zeros(64), phi2=np.zeros(64), tau=0.0)
-    trz = ev.integrate(zero, 3.0, ops, grid, params, nonlinear=True,
+    trz = ev.integrate(np.zeros(128), 3.0, ops, grid, params, nonlinear=True,
                        dtau=1e-3, projection=proj)
     assert ev.duhamel_residual(trz, ops, grid, params) <= 1e-14
     rng = np.random.default_rng(11)
@@ -381,11 +385,11 @@ def test_physical_oracle_matches_reconstructed_field():
     traj = ev.integrate(init, 0.8, ops, grid, params, nonlinear=True,
                         dtau=5e-4, projection=proj)
     sup = 0.0
-    for tau, st, _, _ in traj.samples:
+    for tau, u in zip(traj.taus, traj.states):
         t = 1.0 - math.exp(-tau)
         if tau == 0.0 or t > 0.5 + 1e-9:
             continue
-        rec = md.reconstruct_field(st, tau, params, grid)
+        rec = md.reconstruct_field(u, tau, params, grid)
         orc = ev.physical_oracle(fg1, params, t, nr=4096)
         mask = rec.grid.nodes <= orc.r[-1]
         psi_i = np.interp(rec.grid.nodes[mask], orc.r, orc.psi)
@@ -408,16 +412,15 @@ def test_rhs_overflow_guard():
     # overflows within the first sample, before its amplitude is checked
     # (OverflowAbort and AmplitudeAbort are sibling classes)
     params, grid, ops, proj = _setup()
-    st = md.State(phi1=np.zeros(48), phi2=np.full(48, 1e11), tau=0.0)
+    u = np.concatenate([np.zeros(48), np.full(48, 1e11)])
     with pytest.raises(OverflowAbort):
-        ev.integrate(st, 1.0, ops, grid, params, nonlinear=True,
+        ev.integrate(u, 1.0, ops, grid, params, nonlinear=True,
                      projection=proj)
 
 
 def test_field_csv_format(tmp_path):
     params, grid, _, _ = _setup()
-    st = md.State(phi1=np.zeros(48), phi2=np.zeros(48), tau=0.2)
-    rec = md.reconstruct_field(st, 0.2, params, grid)
+    rec = md.reconstruct_field(np.zeros(96), 0.2, params, grid)
     t = 1.0 - math.exp(-0.2)
     path = tmp_path / "field.csv"
     md.field_to_csv(rec, t, path)

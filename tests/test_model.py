@@ -102,10 +102,11 @@ def test_nonlin_N_rational_oracle_p2():
 
 def test_nonlin_n():
     # the nonlinear term (rho N(A phi2), 0) of the evolution, row 0 zeroed;
-    # A maps constants to themselves, so phi2 = 1 gives rho N(1)
+    # A maps constants to themselves, so phi2 = 1 gives rho N(1); phi1
+    # does not enter
     p3 = cached_params(3.0)
     grid = cached_grid(48)
-    term = ev.nonlinear_term(grid, p3, np.ones(48))
+    term = ev.nonlinear_term(grid, p3, np.ones(96))
     assert term[0] == 0.0 and not term[48:].any()
     assert term[1:48] == pytest.approx(
         grid.nodes[1:] * (3.0 * math.sqrt(2.0) + 1.0), rel=1e-13)
@@ -132,7 +133,7 @@ def test_avg_A_hardy_bound():
     g = cached_grid(64)
     rng = np.random.default_rng(9)
     for _ in range(50):
-        u = md.random_polynomial_state(g, rng, amplitude=1.0).phi2
+        u = md.random_polynomial_state(g, rng, amplitude=1.0)[64:]
         au = md.avg_A(g, u)
         assert math.sqrt(g.integrate(au**2)) <= 2.0 * math.sqrt(g.integrate(u**2))
 
@@ -174,9 +175,8 @@ def test_U_map_vanishes_at_reference():
     g = cached_grid(64)
     gd = cached_grid(64, 1.5)
     zero = md.DataPair(v1=np.zeros(64), v2=np.zeros(64), grid=gd)
-    st = md.U_map(zero, 1.0, p3, g)
-    assert np.abs(st.phi1).max() == 0.0
-    assert np.abs(st.phi2).max() == 0.0
+    u = md.U_map(zero, 1.0, p3, g)
+    assert u.shape == (128,) and np.abs(u).max() == 0.0
 
 
 def test_U_map_explicit_value():
@@ -185,9 +185,9 @@ def test_U_map_explicit_value():
     g = cached_grid(64)
     gd = cached_grid(64, 1.5)
     zero = md.DataPair(v1=np.zeros(64), v2=np.zeros(64), grid=gd)
-    st = md.U_map(zero, 1.1, p3, g)
-    assert np.allclose(st.phi1, math.sqrt(2.0) * 0.21 * g.nodes, atol=1e-12)
-    assert np.allclose(st.phi2, math.sqrt(2.0) * 0.1, atol=1e-12)
+    u = md.U_map(zero, 1.1, p3, g)
+    assert np.allclose(u[:64], math.sqrt(2.0) * 0.21 * g.nodes, atol=1e-12)
+    assert np.allclose(u[64:], math.sqrt(2.0) * 0.1, atol=1e-12)
     with pytest.raises(DomainError):
         md.U_map(zero, 1.6, p3, g)
 
@@ -202,15 +202,14 @@ def test_U_map_T_derivative_is_symmetry_mode():
     dn = md.U_map(zero, 1.0 - h, p3, g)
     coef = 2.0 / (p3.p - 1.0) * p3.kappa_root
     gsym1 = (p3.p + 1.0) / (p3.p - 1.0) * g.nodes
-    assert np.allclose((up.phi1 - dn.phi1) / (2 * h), coef * gsym1, atol=1e-8)
-    assert np.allclose((up.phi2 - dn.phi2) / (2 * h), coef, atol=1e-8)
+    assert np.allclose((up[:64] - dn[:64]) / (2 * h), coef * gsym1, atol=1e-8)
+    assert np.allclose((up[64:] - dn[64:]) / (2 * h), coef, atol=1e-8)
 
 
 def test_reconstruct_zero_state_gives_background():
     p3 = cached_params(3.0)
     g = cached_grid(64)
-    st = md.State(phi1=np.zeros(64), phi2=np.zeros(64), tau=0.0)
-    rec = md.reconstruct_field(st, 0.3, p3, g)
+    rec = md.reconstruct_field(np.zeros(128), 0.3, p3, g)
     t = 1.0 - math.exp(-0.3)
     assert np.abs(rec.f - md.psi_T(p3, t)).max() == 0.0
     assert np.abs(rec.g - md.psi_T_t(p3, t)).max() == 0.0

@@ -41,11 +41,11 @@ def test_symmetry_mode_is_eigenvector(p):
     ops = cached_ops(p, 96)
     gsym = sp.symmetry_mode(grid, params)
     if p == 3.0:
-        assert np.allclose(gsym.phi1, 2.0 * grid.nodes, atol=1e-14)
+        assert np.allclose(gsym[:96], 2.0 * grid.nodes, atol=1e-14)
     if p == 2.0:
-        assert np.allclose(gsym.phi1, 3.0 * grid.nodes, atol=1e-14)
-    assert np.allclose(gsym.phi2, 1.0, atol=1e-15)
-    resid = sp.state_norm(grid, ops.L @ gsym.stacked() - gsym.stacked())
+        assert np.allclose(gsym[:96], 3.0 * grid.nodes, atol=1e-14)
+    assert np.allclose(gsym[96:], 1.0, atol=1e-15)
+    resid = sp.state_norm(grid, ops.L @ gsym - gsym)
     assert resid <= 1e-10
 
 
@@ -145,7 +145,7 @@ def test_eigenvector_at_one_parallel_to_symmetry_mode():
     idx = int(np.argmin(np.abs(vals - 1.0)))
     assert abs(vals[idx] - 1.0) <= 1e-8
     vec = np.real(vecs[:, idx])
-    gvec = sp.symmetry_mode(grid, params).stacked()
+    gvec = sp.symmetry_mode(grid, params)
     cosang = abs(sp.state_inner(grid, vec, gvec)) / (
         sp.state_norm(grid, vec) * sp.state_norm(grid, gvec))
     assert math.acos(min(cosang, 1.0)) <= 1e-6
@@ -197,16 +197,19 @@ def test_riesz_projection_matches_contour_quadrature(p):
     assert np.linalg.norm(P - ref, 2) <= 1e-11 * np.linalg.norm(ref, 2)
 
 
-@pytest.mark.parametrize("p", [1.02, 1.05, 1.1])
+@pytest.mark.parametrize("p", [1.02, 1.03, 1.05, 1.1])
 def test_suite_spectral_projection_checks_pass_near_p_one(p):
+    # the boundary-penalty eigenvalue stays left of the reported window, so
+    # the stable eigenvalues match the quantization from p = 1.03 on (at
+    # p = 1.02 the agreement is 2e-5, rounding in the b ~ 100 eigenvalues)
     results = vl.suite_spectral(cached_params(p), 96, 0)
-    checks = {r.name: r.ok for r in results
-              if r.name.startswith("projection")
-              or r.name == "volterra_block_structure"}
-    assert checks == {"projection_idempotency": True, "projection_rank": True,
-                      "projection_g_residual": True,
-                      "projection_commutator": True,
-                      "volterra_block_structure": True}
+    names = {"projection_idempotency", "projection_rank",
+             "projection_g_residual", "projection_commutator",
+             "volterra_block_structure"}
+    if p >= 1.03:
+        names.add("quantization_agreement")
+    checks = {r.name: r.ok for r in results if r.name in names}
+    assert checks == dict.fromkeys(names, True)
 
 
 def test_spectrum_report_json_schema():
@@ -259,7 +262,6 @@ def test_free_part_dissipativity_sampled():
     ops = cached_ops(3.0, 96)
     rng = np.random.default_rng(17)
     for _ in range(100):
-        st = random_polynomial_state(grid, rng, amplitude=1.0)
-        u = st.stacked()
+        u = random_polynomial_state(grid, rng, amplitude=1.0)
         lhs = sp.state_inner(grid, ops.L0 @ u, u)
         assert lhs <= (params.omega_tilde + 1e-8) * sp.state_inner(grid, u, u)
