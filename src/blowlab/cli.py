@@ -209,8 +209,8 @@ def build_parser():
     tune = p_ev.add_mutually_exclusive_group()
     tune.add_argument("--tune-T", dest="tune", action="store_true",
                       help="tune the blow-up time to suppress the unstable "
-                           "mode (Brent's method from the linear "
-                           "prediction)")
+                           "mode (secant method from the linear "
+                           "prediction; needs --tau-end >= 1.1)")
     tune.add_argument("--no-tune", dest="tune", action="store_false")
     p_ev.set_defaults(tune=False)
 

@@ -24,7 +24,8 @@ class SolverError(RuntimeError):
 
 
 class NonConvergenceError(SolverError):
-    """A series did not meet its tolerance within the term budget."""
+    """A series or an iterative search did not converge within its
+    budget."""
 
 
 class PerturbationTooLarge(RuntimeError):
@@ -49,6 +50,6 @@ class AmplitudeAbort(PerturbationTooLarge):
 
 
 class NoSignChangeError(PerturbationTooLarge):
-    """The blow-up-time search found no sign change of the unstable-mode
-    coefficient: the bracket grown from the linear prediction to the edges
-    of (1/2, 3/2) never straddles one."""
+    """The blow-up-time search found no zero of the unstable-mode
+    coefficient: a secant iterate left (1/2, 3/2), or the coefficient
+    stalled at one value."""

@@ -11,7 +11,7 @@ sample; phi1(0) = 0 is re-imposed after every step.  The exponential is
 Appl. 26, 2005) in numpy, so that no scipy module is imported.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
-tuning by Brent's method from the linear prediction of T, a
+tuning by the secant method from the linear prediction of T, a
 Duhamel-identity residual check against the matrix exponential, and an
 independent physical-space leapfrog solver used for cross-validation.
 """
@@ -27,8 +27,8 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      StepSizeError)
 from .grid import bary_interp
-from .model import U_map, avg_A, nonlin_N
-from .spectral import riesz_projection, state_norm
+from .model import U_map, avg_A, nonlin_N, state_norm
+from .spectral import riesz_projection
 
 SCHEME = "lawson-rk4"
 _SAMPLE_DTAU = 0.1
@@ -37,10 +37,8 @@ _OVERFLOW_LIMIT = 1e12
 _AMPLITUDE_LIMIT = 1.0
 # U_map needs T strictly inside (1/2, 3/2)
 _T_DOMAIN = (0.5 + 1e-9, 1.5 - 1e-9)
-# root-finder tolerances at their floating-point limits, and its budget
-_XTOL = np.finfo(float).tiny
-_RTOL = 4.0 * np.finfo(float).eps
-_MAXITER = 100
+# secant steps per search
+_MAXITER = 20
 
 # Higham (2005): the degree-13 Pade approximant of exp is accurate to
 # double precision for 1-norms up to theta_13 (Table 2.3); b holds its
@@ -258,27 +256,33 @@ def growth_fit(taus, values, tau_window):
 
 
 def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
-    """Suppress the unstable mode by a root-find on the blow-up time T.
+    """Suppress the unstable mode by a secant search on the blow-up time T.
 
-    The target is the unstable coefficient of the nonlinear run from
+    The target a(T) is the unstable coefficient of the nonlinear run from
     U(v, T), read at tau_end - 1, or at the abort time for runs that leave
     the smallness regime (their sign is already decided by the dominant
-    mode).  The search starts at the linear prediction T_lin, the zero of
-    the unstable coefficient of U(v, T) itself, which costs no integration
-    (T = 1 if that coefficient has no zero in (1/2, 3/2)).  The run at
-    T_lin is one end of the bracket; the other starts 1e-6 away, on the
-    side where the prediction puts the zero, and widens ten-fold up to the
-    edge of (1/2, 3/2), then tries the opposite edge, until the target
-    changes sign.  Brent's method then finds the zero to floating-point
-    precision.  Each T is integrated at most once: the tuned run is the
-    one Brent's method evaluated at T_star.
+    mode).  To first order a is linear in T: dU/dT = q k g at T = 1, with
+    q = 2/(p-1), k = kappa_root and l @ g = 1, and the linear flow
+    multiplies a by e^tau.  The linear prediction T_lin is the zero of the
+    unstable coefficient of U(v, T) itself, found by the secant method from
+    T = 1 and its Newton step with slope q k, at no integration.  The
+    secant method then finds the zero of the target from T_lin and its
+    Newton step with slope q k e^tau, tau the time the target was read at.
+    Each T is integrated at most once, and the tuned run is the integrated
+    one with the smallest |a|.
 
     Returns (T_star, trajectory of the tuned run).  The trajectory's
-    `tuning` holds one TuneStep per target evaluation, in order; the first
-    is at T_lin.
+    `tuning` holds one TuneStep per integration, in order; the first is at
+    T_lin.  Raises DomainError unless tau_end - 1 >= 0.1, the first sample
+    after tau = 0, and NoSignChangeError when a secant iterate leaves
+    (1/2, 3/2) or the target stalls.
     """
     tau_probe = tau_end - 1.0
-    lo, hi = _T_DOMAIN
+    if not tau_probe >= _SAMPLE_DTAU:
+        raise DomainError(
+            f"tau_end={tau_end} out of range: tune_T reads its target at "
+            f"tau_end - 1, which must be >= {_SAMPLE_DTAU}")
+    slope = 2.0 / (params.p - 1.0) * params.kappa_root
 
     def predicted(T):
         return unstable_coefficient(U_map(v, T, params, grid), projection)
@@ -304,20 +308,12 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
             runs[T] = (step, traj, abort)
         return runs[T][0].a
 
-    pred_lo, pred_hi = predicted(lo), predicted(hi)
-    T_lin = _brentq(predicted, lo, hi) if pred_lo * pred_hi <= 0.0 else 1.0
+    T_lin = _secant(predicted, 1.0, 1.0 - predicted(1.0) / slope)
     a_lin = target(T_lin)
-    T_star = T_lin
-    if a_lin != 0.0:
-        toward_zero = -1.0 if (a_lin > 0.0) == (pred_hi > pred_lo) else 1.0
-        for T_far in _bracket_ends(T_lin, toward_zero):
-            if target(T_far) * a_lin <= 0.0:
-                break
-        else:
-            raise NoSignChangeError(
-                "tune_T: unstable-mode coefficient does not change sign over "
-                "T in (1/2, 3/2); perturbation too large")
-        T_star = _brentq(target, min(T_lin, T_far), max(T_lin, T_far))
+    abort_tau = runs[T_lin][0].abort_tau
+    tau_read = tau_probe if abort_tau is None else abort_tau
+    T_star = _secant(target, T_lin,
+                     T_lin - a_lin / (slope * math.exp(tau_read)))
     _, traj, abort = runs[T_star]
     if abort is not None:
         raise abort
@@ -325,72 +321,39 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     return T_star, traj
 
 
-def _brentq(f, xa, xb):
-    """Zero of f on [xa, xb], where f(xa) and f(xb) differ in sign, by
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973) in the form of scipy.optimize.brentq, with xtol and rtol at their
-    floating-point limits.
+def _secant(f, x0, x1):
+    """Zero of f in T by the secant method from x0 and x1.
 
-    It evaluates f at the same points as scipy.optimize.brentq and returns
-    the same root, but costs no import of scipy.optimize, whose modules
-    take about 20 MB of resident memory.  The root returned is always a
-    point where f was evaluated.
+    Stops when f vanishes or the next iterate was already evaluated, and
+    returns the evaluated point with the smallest |f|.  Raises
+    NoSignChangeError when an iterate leaves the tuning domain or two
+    successive values of f are equal, and NonConvergenceError after
+    _MAXITER steps.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)    # secant
-            else:                             # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise NonConvergenceError(
-        f"brentq: no convergence in {_MAXITER} iterations on [{xa}, {xb}]")
-
-
-def _bracket_ends(T_lin, direction):
-    """Candidate far ends of the tuning bracket: T_lin + direction * 1e-6,
-    the offset growing ten-fold and clipped to the tuning domain, then the
-    domain's opposite edge."""
     lo, hi = _T_DOMAIN
-    offset = 1e-6
-    while True:
-        T = min(max(T_lin + direction * offset, lo), hi)
-        yield T
-        if T in (lo, hi):
+    values = {}
+    for _ in range(_MAXITER):
+        for x in (x0, x1):
+            if not lo <= x <= hi:
+                raise NoSignChangeError(
+                    f"tune_T: secant iterate T={x:.17g} left (1/2, 3/2); "
+                    f"perturbation too large")
+            if x not in values:
+                values[x] = f(x)
+        f0, f1 = values[x0], values[x1]
+        if f1 == 0.0:
             break
-        offset *= 10.0
-    yield hi if direction < 0.0 else lo
+        if f1 == f0:
+            raise NoSignChangeError(
+                f"tune_T: unstable-mode coefficient stalls at {f1:.3g} near "
+                f"T={x1:.17g}; perturbation too large")
+        x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
+        if x1 in values:
+            break
+    else:
+        raise NonConvergenceError(
+            f"tune_T: secant search not converged in {_MAXITER} steps")
+    return min(values, key=lambda x: abs(values[x]))
 
 
 def duhamel_residual(traj, ops, grid, params):

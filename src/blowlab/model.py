@@ -86,6 +86,16 @@ class DataPair:
     grid: Grid
 
 
+def state_inner(grid, u, v):
+    """Quadrature L2 x L2 inner product of stacked states."""
+    n = grid.n
+    return float(grid.w @ (u[:n] * v[:n] + u[n:] * v[n:]))
+
+
+def state_norm(grid, u):
+    return float(np.sqrt(max(state_inner(grid, u, u), 0.0)))
+
+
 def psi_T(params, t):
     """The space-homogeneous blow-up solution kappa0^(1/(p-1)) (T-t)^(-2/(p-1))."""
     if t >= params.T:
@@ -231,7 +241,7 @@ def random_polynomial_state(grid, rng, amplitude=1e-3, degree=6):
     c1 = rng.standard_normal(degree)
     c2 = rng.standard_normal(degree)
     u = np.concatenate([rho * np.polyval(c1, rho), np.polyval(c2, rho)])
-    nrm = np.sqrt(grid.integrate(u[:grid.n]**2 + u[grid.n:]**2))
+    nrm = state_norm(grid, u)
     if amplitude > 0.0 and nrm > 0.0:
         u *= amplitude / nrm
     else:

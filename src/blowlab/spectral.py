@@ -26,21 +26,11 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .grid import Grid
-from .model import Params
+from .model import Params, state_norm
 from .specfun import HypParams, hyp2f1, rgamma
 
 _BOUNDARY_PENALTY = 50.0
 _STABILITY_TOL = 1e-6
-
-
-def state_inner(grid, u, v):
-    """Quadrature L2 x L2 inner product of stacked states."""
-    n = grid.n
-    return float(grid.w @ (u[:n] * v[:n] + u[n:] * v[n:]))
-
-
-def state_norm(grid, u):
-    return float(np.sqrt(max(state_inner(grid, u, u), 0.0)))
 
 
 @dataclass(frozen=True)

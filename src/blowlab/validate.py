@@ -197,7 +197,7 @@ def suite_spectral(params, n, seed):
     ops_c = sp.assemble_L(gc, params)
     gvec = sp.symmetry_mode(gf, params)
     out.append(_upper("spectral", "symmetry_mode_residual",
-                      sp.state_norm(gf, ops_f.L @ gvec - gvec), 1e-10))
+                      md.state_norm(gf, ops_f.L @ gvec - gvec), 1e-10))
     lp_block = np.abs(ops_f.Lp[:n_fine, n_fine:]
                       - params.p * params.kappa0 * gf.V).max()
     outside = np.ones(ops_f.Lp.shape, dtype=bool)
@@ -242,9 +242,9 @@ def suite_spectral(params, n, seed):
     diss = -np.inf
     for _ in range(100):
         u = md.random_polynomial_state(gf, rng, amplitude=1.0)
-        lhs = sp.state_inner(gf, ops_f.L0 @ u, u)
+        lhs = md.state_inner(gf, ops_f.L0 @ u, u)
         diss = max(diss, lhs - params.omega_tilde
-                   * sp.state_inner(gf, u, u))
+                   * md.state_inner(gf, u, u))
     out.append(_upper("spectral", "free_part_dissipativity", diss, 1e-8))
     return out
 
@@ -258,10 +258,10 @@ def suite_rhs(params, n, seed):
     zero = np.zeros(2 * n)
     d0 = ops.L @ zero + ev.nonlinear_term(grid, params, zero)
     out.append(_upper("rhs", "vanishes_at_zero",
-                      sp.state_norm(grid, d0), 1e-12))
+                      md.state_norm(grid, d0), 1e-12))
     gvec = sp.symmetry_mode(grid, params)
     out.append(_upper("rhs", "linear_symmetry_mode",
-                      sp.state_norm(grid, ops.L @ gvec - gvec), 1e-10))
+                      md.state_norm(grid, ops.L @ gvec - gvec), 1e-10))
     # nonlinear term against an inline sign-explicit evaluation
     extra = ev.nonlinear_term(grid, params, gvec)
     k = params.kappa_root
@@ -283,7 +283,7 @@ def suite_rhs(params, n, seed):
     tc = ev.integrate(combo, 1.0, ops, grid, params, **kw)
     target = 2.0 * ta.states[-1] - 0.5 * tb.states[-1]
     out.append(_upper("rhs", "linear_superposition",
-                      sp.state_norm(grid, tc.states[-1] - target), 1e-9))
+                      md.state_norm(grid, tc.states[-1] - target), 1e-9))
     return out
 
 
@@ -321,13 +321,13 @@ def suite_evolve(params, n, seed):
     ops32 = sp.assemble_L(g32, p3)
     proj32 = sp.riesz_projection(ops32)
     gsym = sp.symmetry_mode(g32, p3)
-    smooth = 0.2 / sp.state_norm(g32, gsym) * gsym
+    smooth = 0.2 / md.state_norm(g32, gsym) * gsym
     kw = dict(nonlinear=True, projection=proj32)
     ref = ev.integrate(smooth, 1.0, ops32, g32, p3, dtau=2.5e-4, **kw)
-    e_coarse = sp.state_norm(g32, ev.integrate(
+    e_coarse = md.state_norm(g32, ev.integrate(
         smooth, 1.0, ops32, g32, p3, dtau=4e-3, **kw).states[-1]
         - ref.states[-1])
-    e_fine = sp.state_norm(g32, ev.integrate(
+    e_fine = md.state_norm(g32, ev.integrate(
         smooth, 1.0, ops32, g32, p3, dtau=2e-3, **kw).states[-1]
         - ref.states[-1])
     out.append(_interval("evolve", "richardson_ratio",

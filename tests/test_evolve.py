@@ -31,13 +31,13 @@ def _rhs(u, ops, grid, params):
 def test_rhs_zero_state():
     params, grid, ops, _ = _setup()
     out = _rhs(np.zeros(96), ops, grid, params)
-    assert sp.state_norm(grid, out) <= 1e-13
+    assert md.state_norm(grid, out) <= 1e-13
 
 
 def test_rhs_linear_on_symmetry_mode():
     params, grid, ops, _ = _setup()
     gvec = sp.symmetry_mode(grid, params)
-    assert sp.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
+    assert md.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
 
 
 def test_rhs_nonlinear_extra_term():
@@ -58,7 +58,7 @@ def test_integrate_symmetry_mode_grows_exponentially():
                         dtau=1e-3, projection=proj)
     assert traj.states.shape == (21, 96)
     for tau, u, a in zip(traj.taus, traj.states, traj.unstable_coeffs):
-        err = sp.state_norm(grid, u - math.exp(tau) * gvec)
+        err = md.state_norm(grid, u - math.exp(tau) * gvec)
         assert err / math.exp(tau) <= 1e-6
         assert a == pytest.approx(math.exp(tau), rel=1e-6)
 
@@ -114,7 +114,7 @@ def test_integrate_superposition_linear():
     tb = ev.integrate(ub, 1.5, ops, grid, params, **kw)
     tc = ev.integrate(1.5 * ua - 0.25 * ub, 1.5, ops, grid, params, **kw)
     lin = 1.5 * ta.states[-1] - 0.25 * tb.states[-1]
-    assert sp.state_norm(grid, tc.states[-1] - lin) <= 1e-9
+    assert md.state_norm(grid, tc.states[-1] - lin) <= 1e-9
 
 
 def test_amplitude_guard_carries_partial_trajectory():
@@ -251,7 +251,7 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
     # the search integrates each T once, from U(v, T), and records every
     # integration
     Ts = [step.T for step in traj.tuning]
-    assert len(calls) <= 8
+    assert len(calls) <= 4
     assert len(Ts) == len(calls) == len(set(Ts))
     for T, init in zip(Ts, calls):
         assert np.array_equal(init, md.U_map(v, T, params, grid))
@@ -261,8 +261,8 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
 def test_tune_T_no_sign_change_raises(monkeypatch):
     params, grid, ops, proj = _setup()
     gdata = cached_grid(48, 1.5)
-    # data of unit size: the linear prediction has no zero in (1/2, 3/2)
-    # and every run leaves the unit ball at once
+    # data of unit size: the linear prediction has no zero in (1/2, 3/2),
+    # so its secant search leaves the domain before any integration
     rng = np.random.default_rng(2)
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1.0)
     with pytest.raises(NoSignChangeError):
@@ -281,6 +281,50 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
     monkeypatch.setattr(ev, "integrate", always_grows)
     with pytest.raises(NoSignChangeError):
         ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
+
+    # every run aborts with the same small coefficient: the secant step
+    # stays inside (1/2, 3/2) and the search stalls
+    stalled = ev.Trajectory(taus=np.array([0.0, 0.1]),
+                            states=np.zeros((2, 96)),
+                            norms=np.array([0.5, 2.0]),
+                            unstable_coeffs=np.array([1e-9, 1e-9]))
+
+    def always_stalls(*args, **kwargs):
+        raise AmplitudeAbort("left the unit ball", trajectory=stalled)
+
+    monkeypatch.setattr(ev, "integrate", always_stalls)
+    with pytest.raises(NoSignChangeError):
+        ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
+
+
+def test_tune_T_iteration_budget(monkeypatch):
+    # a triple zero of the target at T = 1.001: the secant method converges
+    # only linearly there and runs out of steps
+    params, grid, ops, proj = _setup()
+    zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=grid)
+    monkeypatch.setattr(ev, "U_map",
+                        lambda v, T, params, grid: np.full(96, T - 1.0))
+
+    def cubic(initial, tau_end, *args, **kwargs):
+        a = (initial[0] - 1e-3) ** 3
+        return ev.Trajectory(taus=np.array([0.0, tau_end - 1.0]),
+                             states=np.zeros((2, 96)), norms=np.ones(2),
+                             unstable_coeffs=np.array([a, a]))
+
+    monkeypatch.setattr(ev, "integrate", cubic)
+    with pytest.raises(NonConvergenceError):
+        ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
+
+
+def test_tune_T_returns_python_float():
+    # data seed 4 is the one whose T* came back as a numpy scalar
+    params, grid, ops, proj = _setup()
+    gdata = cached_grid(48, 1.5)
+    rng = np.random.default_rng(4)
+    fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
+    t_star, _ = ev.tune_T(md.data_to_v(fg, params), params, 8.0, grid, ops,
+                          projection=proj)
+    assert type(t_star) is float
 
 
 def test_tune_T_derivative_sign_at_one():
@@ -445,33 +489,3 @@ def test_trajectory_csv_format(tmp_path):
     assert len(lines) == tr.taus.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) > 0.0
-
-
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: math.expm1(40.0 * (x - 1.0)) - 1e-3, 0.5, 1.5),
-    (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0),
-    (lambda x: (x - 1.0) ** 3, 0.3, 1.9),   # a triple root: neither converges
-])
-def test_brentq_matches_scipy(f, a, b):
-    """The in-house Brent's method is scipy.optimize.brentq: the same
-    evaluation points, the same root, the same failure."""
-    from scipy.optimize import brentq
-
-    ours, theirs = [], []
-
-    def logged(points):
-        def g(x):
-            points.append(x)
-            return f(x)
-        return g
-
-    try:
-        ref = brentq(logged(theirs), a, b, xtol=ev._XTOL, rtol=ev._RTOL)
-    except RuntimeError:
-        with pytest.raises(NonConvergenceError):
-            ev._brentq(logged(ours), a, b)
-    else:
-        assert ev._brentq(logged(ours), a, b) == ref
-    assert ours == theirs

@@ -13,7 +13,8 @@ from blowlab import spectral as sp
 from blowlab import validate as vl
 from blowlab.errors import DomainError
 from blowlab.grid import build_grid
-from blowlab.model import params_new, random_polynomial_state
+from blowlab.model import (params_new, random_polynomial_state, state_inner,
+                           state_norm)
 from blowlab.specfun import _sinpi
 from conftest import cached_grid, cached_ops, cached_params, cached_projection
 
@@ -45,7 +46,7 @@ def test_symmetry_mode_is_eigenvector(p):
     if p == 2.0:
         assert np.allclose(gsym[:96], 3.0 * grid.nodes, atol=1e-14)
     assert np.allclose(gsym[96:], 1.0, atol=1e-15)
-    resid = sp.state_norm(grid, ops.L @ gsym - gsym)
+    resid = state_norm(grid, ops.L @ gsym - gsym)
     assert resid <= 1e-10
 
 
@@ -146,8 +147,8 @@ def test_eigenvector_at_one_parallel_to_symmetry_mode():
     assert abs(vals[idx] - 1.0) <= 1e-8
     vec = np.real(vecs[:, idx])
     gvec = sp.symmetry_mode(grid, params)
-    cosang = abs(sp.state_inner(grid, vec, gvec)) / (
-        sp.state_norm(grid, vec) * sp.state_norm(grid, gvec))
+    cosang = abs(state_inner(grid, vec, gvec)) / (
+        state_norm(grid, vec) * state_norm(grid, gvec))
     assert math.acos(min(cosang, 1.0)) <= 1e-6
 
 
@@ -263,5 +264,5 @@ def test_free_part_dissipativity_sampled():
     rng = np.random.default_rng(17)
     for _ in range(100):
         u = random_polynomial_state(grid, rng, amplitude=1.0)
-        lhs = sp.state_inner(grid, ops.L0 @ u, u)
-        assert lhs <= (params.omega_tilde + 1e-8) * sp.state_inner(grid, u, u)
+        lhs = state_inner(grid, ops.L0 @ u, u)
+        assert lhs <= (params.omega_tilde + 1e-8) * state_inner(grid, u, u)
