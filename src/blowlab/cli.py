@@ -59,6 +59,20 @@ def _seeded_data(args, params):
     return md.data_to_v(fg, params)
 
 
+def _step_error(traj, ops, grid, params, h, proj):
+    """Relative state difference after the first 0.1 sample between the
+    step h taken and h/2, or None for a run without that sample."""
+    if len(traj.states) < 2:
+        return None
+    try:
+        half = ev.integrate(traj.states[0], 0.1, ops, grid, params,
+                            nonlinear=True, dtau=0.5 * h, projection=proj)
+    except AmplitudeAbort as exc:
+        half = exc.trajectory
+    diff = md.state_norm(grid, traj.states[1] - half.states[1])
+    return diff / half.norms[1] if diff else 0.0
+
+
 def cmd_evolve(args):
     params = md.params_new(args.p, T=args.T, eps=args.eps)
     grid = build_grid(args.n)
@@ -93,8 +107,11 @@ def cmd_evolve(args):
         "aborted_at": None if abort is None else float(traj.taus[-1]),
         "T_lin": traj.tuning[0].T if traj.tuning else None,
         "tuning": [step._asdict() for step in traj.tuning],
+        "tuning_stop": traj.tuning_stop,
         "integrator": {"scheme": ev.SCHEME, "substep": h,
-                       "steps": nsub * (len(traj.taus) - 1)},
+                       "steps": nsub * (len(traj.taus) - 1),
+                       "step_error": _step_error(traj, ops, grid, params, h,
+                                                 proj)},
     }
     span = float(traj.taus[-1])
     window = (min(2.0, 0.5 * span), float(traj.taus[-1]) - min(1.0, 0.2 * span))
@@ -201,8 +218,8 @@ def build_parser():
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
     p_ev.add_argument("--dtau", type=float, default=None,
-                      help="Lawson RK4 step, at most 0.1 (default: 0.0125, "
-                           "8 steps per 0.1 sample)")
+                      help="Lawson RK4 step, at most 0.1 (default: 0.025, "
+                           "4 steps per 0.1 sample)")
     p_ev.add_argument("--field-out", type=str, default="",
                       help="also write the reconstructed physical field at "
                            "the last sample (CSV t,r,psi,psi_t)")

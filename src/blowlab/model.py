@@ -128,10 +128,11 @@ def nonlin_N(params, x):
 
 
 def avg_A(grid, u):
-    """Running average (Au)(rho) = rho^-1 int_0^rho u, with Au(0) = u(0)."""
+    """Running average (Au)(rho) = rho^-1 int_0^rho u, with Au(0) = u(0);
+    a 2-D u is a stack of columns, each averaged."""
     u = np.asarray(u, dtype=float)
     out = grid.V @ u
-    out[1:] /= grid.nodes[1:]
+    out[1:] = (out[1:].T / grid.nodes[1:]).T
     out[0] = u[0]
     return out
 

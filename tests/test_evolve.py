@@ -63,6 +63,50 @@ def test_integrate_symmetry_mode_grows_exponentially():
         assert a == pytest.approx(math.exp(tau), rel=1e-6)
 
 
+def _lawson_reference(initial, tau_end, ops, grid, params, h):
+    """The Lawson RK4 loop on full 2n-vectors, each stage through
+    nonlinear_term; the samples every 0.1 as rows."""
+    nsub = round(ev._SAMPLE_DTAU / h)
+    E2 = ev._expm(0.5 * h * ops.L)
+    E = E2 @ E2
+
+    def N(v):
+        return ev.nonlinear_term(grid, params, v)
+
+    u = np.array(initial, dtype=float)
+    u[0] = 0.0
+    states = [u]
+    for _ in range(round(tau_end / ev._SAMPLE_DTAU)):
+        for _ in range(nsub):
+            k1 = N(u)
+            half = E2 @ u
+            k2 = N(half + (0.5 * h) * (E2 @ k1))
+            k3 = N(half + (0.5 * h) * k2)
+            k4 = N(E @ u + h * (E2 @ k3))
+            u = (E @ (u + (h / 6.0) * k1) + E2 @ ((h / 3.0) * (k2 + k3))
+                 + (h / 6.0) * k4)
+            u[0] = 0.0
+        states.append(u)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-1])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_integrate_matches_full_state_lawson(p, amplitude):
+    # the stepper works on the n-vector reads A phi2; the reference steps
+    # the stacked state with four nonlinear_term calls per step
+    params, grid, ops, proj = _setup(p)
+    rng = np.random.default_rng(3)
+    u = md.random_polynomial_state(grid, rng, amplitude=amplitude)
+    traj = ev.integrate(u, 2.0, ops, grid, params, nonlinear=True,
+                        dtau=0.025, projection=proj)
+    ref = _lawson_reference(u, 2.0, ops, grid, params, 0.025)
+    assert traj.states.shape == ref.shape
+    for got, want in zip(traj.states, ref):
+        err = md.state_norm(grid, got - want)
+        assert err <= 1e-13 * md.state_norm(grid, want)
+
+
 def test_integrate_step_size_guard():
     params, grid, ops, proj = _setup(n=96)
     gsym = sp.symmetry_mode(grid, params)
@@ -295,6 +339,25 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
     monkeypatch.setattr(ev, "integrate", always_stalls)
     with pytest.raises(NoSignChangeError):
         ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
+
+
+@pytest.mark.parametrize("p", [1.35, 1.4])
+def test_tune_T_below_p_one_and_a_half(p):
+    # k is 3.4e4 at p = 1.35, so the secant's first step from T_lin, a_lin
+    # / (q k e^7), can be below half an ulp of T: the search stops there
+    # ("sub_ulp") instead of reading the repeated value as a stall
+    params, grid, ops, proj = _setup(p)
+    gdata = cached_grid(48, 1.5)
+    stops = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
+        _, traj = ev.tune_T(md.data_to_v(fg, params), params, 8.0, grid,
+                            ops, projection=proj)
+        assert traj.xnorm(params.mu) <= 10.0 * traj.norms[0]
+        stops.add(traj.tuning_stop)
+    assert "sub_ulp" in stops
+    assert stops <= {"zero", "sub_ulp", "repeat"}
 
 
 def test_tune_T_iteration_budget(monkeypatch):
