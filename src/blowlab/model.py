@@ -115,15 +115,19 @@ def nonlin_N(params, x):
     """Quadratic-and-higher remainder of the expanded power nonlinearity.
 
     N(x) = |k + x|^(p-1) (k + x) - k^p - p kappa0 x with k = kappa0^(1/(p-1)),
-    written sign-explicitly as sign(y)|y|^p to stay real for y < 0.
-    N(0) = 0 and N'(0) = 0.
+    written sign-explicitly as copysign(|y|^p, y) to stay real for y < 0.
+    N(0) = 0 and N'(0) = 0.  The integrator calls this twice per step, so
+    the constants are formed as Python floats and the rest works in place.
     """
-    x = np.asarray(x, dtype=float)
+    p = params.p
     k = params.kappa_root
+    x = np.asarray(x, dtype=float)
     y = k + x
-    power = _SIGN_HOOK * np.sign(y) * np.abs(y) ** params.p
+    out = np.copysign(np.abs(y) ** p, y)
+    out *= _SIGN_HOOK
     # constant written as |k|^p so the x = 0 cancellation is exact
-    out = power - np.abs(k) ** params.p - params.p * params.kappa0 * x
+    out -= abs(k) ** p
+    out -= (p * params.kappa0) * x
     return out if out.ndim else float(out)
 
 

@@ -90,12 +90,15 @@ def _lawson_reference(initial, tau_end, ops, grid, params, h):
     return np.array(states)
 
 
-@pytest.mark.parametrize("amplitude", [1e-3, 1e-1])
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p, amplitude", [(1.5, 1e-3), (1.5, 1e-1),
+                                          (3.0, 1e-3), (3.0, 1e-1),
+                                          (1.25, 1e-3)])
 def test_integrate_matches_full_state_lawson(p, amplitude):
-    # the stepper works on the n-vector reads A phi2; the reference steps
-    # the stacked state with four nonlinear_term calls per step
-    params, grid, ops, proj = _setup(p)
+    # the stepper works on the n-vector reads A phi2 in two rounds of
+    # stages; the reference steps the stacked state with four
+    # nonlinear_term calls per step.  p = 1.25, the lowest exponent of the
+    # sweep, runs at the sweep's n = 64, where k^p is about 2e9
+    params, grid, ops, proj = _setup(p, n=64 if p == 1.25 else 48)
     rng = np.random.default_rng(3)
     u = md.random_polynomial_state(grid, rng, amplitude=amplitude)
     traj = ev.integrate(u, 2.0, ops, grid, params, nonlinear=True,
@@ -105,6 +108,28 @@ def test_integrate_matches_full_state_lawson(p, amplitude):
     for got, want in zip(traj.states, ref):
         err = md.state_norm(grid, got - want)
         assert err <= 1e-13 * md.state_norm(grid, want)
+
+
+def test_integrate_evaluates_stages_in_two_rounds(monkeypatch):
+    # a nonlinear step makes two nonlin_N calls on stacked 2n-vectors of
+    # reads, (N1, N3) and then (N2, N4); integrate looks nonlin_N up
+    # through blowlab.evolve, where tracing and fault injection replace it
+    params, grid, ops, proj = _setup()
+    lengths = []
+    original = ev.nonlin_N
+
+    def counting(params, x):
+        lengths.append(len(x))
+        return original(params, x)
+
+    monkeypatch.setattr(ev, "nonlin_N", counting)
+    u = md.random_polynomial_state(grid, np.random.default_rng(0))
+    ev.integrate(u, 0.1, ops, grid, params, nonlinear=True, projection=proj)
+    assert ev.stable_dtau(ops) == 0.025
+    assert lengths == [2 * grid.n] * (2 * 4)
+    lengths.clear()
+    ev.integrate(u, 0.1, ops, grid, params, nonlinear=False, projection=proj)
+    assert lengths == []
 
 
 def test_integrate_step_size_guard():
@@ -522,6 +547,17 @@ def test_rhs_overflow_guard():
     u = np.concatenate([np.zeros(48), np.full(48, 1e11)])
     with pytest.raises(OverflowAbort):
         ev.integrate(u, 1.0, ops, grid, params, nonlinear=True,
+                     projection=proj)
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_integrate_aborts_on_nan(nonlinear):
+    # the overflow guard is one comparison, which NaN fails too
+    params, grid, ops, proj = _setup()
+    u = np.zeros(96)
+    u[60] = math.nan
+    with pytest.raises(OverflowAbort):
+        ev.integrate(u, 1.0, ops, grid, params, nonlinear=nonlinear,
                      projection=proj)
 
 

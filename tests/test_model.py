@@ -90,6 +90,32 @@ def test_nonlin_N_values():
                        3.0 * math.sqrt(2.0) * xs**2 + xs**3, atol=1e-12)
 
 
+def _nonlin_N_reference(params, x):
+    """N(x) = sign(y)|y|^p - |k|^p - p kappa0 x, y = k + x, with every
+    constant formed per call in numpy."""
+    x = np.asarray(x, dtype=float)
+    k = params.kappa_root
+    y = k + x
+    return (np.sign(y) * np.abs(y) ** params.p - np.abs(k) ** params.p
+            - params.p * params.kappa0 * x)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 2.5, 3.0])
+def test_nonlin_N_matches_sign_explicit_formula(p):
+    # copysign and Python-float constants give the very same values, at
+    # y = k + x > 0, at y = 0 (x = -k) and at y < 0 (x = -2k)
+    params = cached_params(p)
+    k = params.kappa_root
+    mags = np.geomspace(1e-6, k, 400)
+    xs = np.concatenate([mags, -mags, [0.0, -k, -2.0 * k]])
+    assert np.array_equal(md.nonlin_N(params, xs),
+                          _nonlin_N_reference(params, xs))
+    for x in (0.0, 1e-3, -k, -2.0 * k):
+        got = md.nonlin_N(params, x)
+        assert type(got) is float
+        assert got == _nonlin_N_reference(params, x)
+
+
 def test_nonlin_N_rational_oracle_p2():
     # p = 2: N(x) = |6 + x|(6 + x) - 36 - 12 x, exact in rationals
     p2 = cached_params(2.0)
