@@ -22,29 +22,30 @@ def _cheb_nodes_and_diff(N):
     """Differentiation matrix on cos(j*pi/N), j = 0..N (Trefethen)."""
     x = np.cos(np.pi * np.arange(N + 1) / N)
     c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
-    X = np.tile(x, (N + 1, 1)).T
-    dX = X - X.T
-    D = np.outer(c, 1.0 / c) / (dX + np.eye(N + 1))
-    D -= np.diag(D.sum(axis=1))
+    dX = x[:, None] - x[None, :]
+    dX.flat[::N + 2] += 1.0
+    D = np.outer(c, 1.0 / c) / dX
+    D.flat[::N + 2] -= D.sum(axis=1)
     return x, D
 
 
 def _clencurt(N):
-    """Clenshaw-Curtis weights for nodes cos(j*pi/N) on [-1, 1]."""
-    theta = np.pi * np.arange(N + 1) / N
-    w = np.zeros(N + 1)
-    ii = np.arange(1, N)
-    v = np.ones(N - 1)
+    """Clenshaw-Curtis weights for nodes cos(j*pi/N) on [-1, 1].
+
+    The cosine terms are subtracted from 1 one after another, in the order
+    of k, by one subtract.reduce over their stacked rows.
+    """
+    theta = np.pi * np.arange(1, N) / N
+    k = np.arange(1, (N + 1) // 2)[:, None]
+    terms = [np.ones((1, N - 1)),
+             2.0 * np.cos(2.0 * k * theta) / (4.0 * k**2 - 1)]
+    w = np.empty(N + 1)
     if N % 2 == 0:
+        terms.append(np.cos(N * theta)[None, :] / (N**2 - 1))
         w[0] = w[N] = 1.0 / (N**2 - 1)
-        for k in range(1, N // 2):
-            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
-        v -= np.cos(N * theta[ii]) / (N**2 - 1)
     else:
         w[0] = w[N] = 1.0 / N**2
-        for k in range(1, (N - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
-    w[ii] = 2.0 * v / N
+    w[1:N] = 2.0 * np.subtract.reduce(np.vstack(terms), axis=0) / N
     return w
 
 
@@ -58,23 +59,22 @@ def _volterra(N, length):
     j = np.arange(N + 1)
     c = np.ones(N + 1)
     c[0] = c[-1] = 2.0
-    # values-to-coefficients (DCT-I normalization for CGL nodes)
-    A = (2.0 / N) * np.cos(np.pi * np.outer(j, j) / N) / np.outer(c, c)
-    # coefficient integration: b = S a with int T_0 = T_1,
-    # int T_1 = T_2/4, int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
-    S = np.zeros((N + 2, N + 1))
-    S[1, 0] = 1.0
-    S[2, 1] = 0.25
-    for k in range(2, N + 1):
-        S[k + 1, k] = 0.5 / (k + 1)
-        S[k - 1, k] -= 0.5 / (k - 1)
     # evaluate T_0..T_{N+1} at the nodes x_j = cos(j pi / N)
     E = np.cos(np.pi * np.outer(j, np.arange(N + 2)) / N)
+    # values-to-coefficients (DCT-I normalization for CGL nodes)
+    A = (2.0 / N) * E[:, :N + 1] / np.outer(c, c)
+    # coefficient integration: b = S a with int T_0 = T_1,
+    # int T_1 = T_2/4, int T_k = T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
+    k = np.arange(2, N + 1)
+    S = np.zeros((N + 2, N + 1))
+    S[np.r_[1, 2, k + 1, k - 1], np.r_[0, 1, k, k]] = np.r_[
+        1.0, 0.25, 0.5 / (k + 1), -0.5 / (k - 1)]
     SA = S @ A
     G = E @ SA          # antiderivative in x, up to a constant
-    G1 = SA.sum(axis=0)  # value at x = 1, i.e. rho = 0
-    # int_0^rho u drho' = (L/2) * (G(1) - G(x))
-    return (length / 2.0) * (G1[None, :] - G)
+    # int_0^rho u drho' = (L/2) * (G(1) - G(x)), G(1) the value at rho = 0
+    np.subtract(SA.sum(axis=0), G, out=G)
+    G *= length / 2.0
+    return G
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def build_grid(n, length=1.0):
     D = Dx * (-2.0 / length)
     w = _clencurt(N) * (length / 2.0)
     V = _volterra(N, length)
-    bary = (-1.0) ** np.arange(n) * np.ones(n)
+    bary = (-1.0) ** np.arange(n)
     bary[0] *= 0.5
     bary[-1] *= 0.5
     for a in (nodes, D, V, w, bary):

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, fault hook."""
 
 import json
+import math
 import os
 
 import pytest
@@ -24,6 +25,15 @@ def test_spectrum_p3(tmp_path):
     assert doc["projection_rank"] == 1
     stable = [d for d in doc["discrete"] if d["stable"]]
     assert len(stable) == 1 and abs(stable[0]["re"] - 1.0) <= 1e-8
+
+
+def test_spectrum_json_records_phase_timings(tmp_path):
+    out = tmp_path / "s.json"
+    assert run(["spectrum", "--p", "2", "--n", "48", "--out", str(out)]) == 0
+    timings = json.loads(out.read_text())["timings"]
+    for key in ("operators_s", "eigenvalues_s", "projection_s"):
+        assert isinstance(timings[key], float)
+        assert math.isfinite(timings[key]) and timings[key] >= 0.0
 
 
 def test_spectrum_halfplane_p2(tmp_path):

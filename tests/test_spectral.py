@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from blowlab import grid as gr
 from blowlab import spectral as sp
 from blowlab import validate as vl
 from blowlab.errors import DomainError
@@ -33,6 +34,85 @@ def test_build_grid_invariants():
 def test_build_grid_size_error():
     with pytest.raises(DomainError):
         build_grid(8)
+
+
+# The loop constructions the grid and the generator were first written
+# with (Trefethen, Spectral Methods in MATLAB, cheb and clencurt): the
+# vectorised ones must reproduce them bit for bit.
+def _reference_cheb_nodes_and_diff(N):
+    x = np.cos(np.pi * np.arange(N + 1) / N)
+    c = np.hstack([2.0, np.ones(N - 1), 2.0]) * (-1.0) ** np.arange(N + 1)
+    X = np.tile(x, (N + 1, 1)).T
+    dX = X - X.T
+    D = np.outer(c, 1.0 / c) / (dX + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    return x, D
+
+
+def _reference_clencurt(N):
+    theta = np.pi * np.arange(N + 1) / N
+    w = np.zeros(N + 1)
+    ii = np.arange(1, N)
+    v = np.ones(N - 1)
+    if N % 2 == 0:
+        w[0] = w[N] = 1.0 / (N**2 - 1)
+        for k in range(1, N // 2):
+            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
+        v -= np.cos(N * theta[ii]) / (N**2 - 1)
+    else:
+        w[0] = w[N] = 1.0 / N**2
+        for k in range(1, (N - 1) // 2 + 1):
+            v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k**2 - 1)
+    w[ii] = 2.0 * v / N
+    return w
+
+
+def _reference_volterra(N, length):
+    j = np.arange(N + 1)
+    c = np.ones(N + 1)
+    c[0] = c[-1] = 2.0
+    A = (2.0 / N) * np.cos(np.pi * np.outer(j, j) / N) / np.outer(c, c)
+    S = np.zeros((N + 2, N + 1))
+    S[1, 0] = 1.0
+    S[2, 1] = 0.25
+    for k in range(2, N + 1):
+        S[k + 1, k] = 0.5 / (k + 1)
+        S[k - 1, k] -= 0.5 / (k - 1)
+    E = np.cos(np.pi * np.outer(j, np.arange(N + 2)) / N)
+    SA = S @ A
+    G = E @ SA
+    G1 = SA.sum(axis=0)
+    return (length / 2.0) * (G1[None, :] - G)
+
+
+def _reference_L(grid, params):
+    n = grid.n
+    c = 2.0 / (params.p - 1.0)
+    advect = -np.diag(grid.nodes) @ grid.D - c * np.eye(n)
+    L = np.block([[advect, grid.D], [grid.D, advect]])
+    L[:n, n:] += params.p * params.kappa0 * grid.V
+    L[0, :] = 0.0
+    L[0, 0] = -max(50.0, c + 10.0)
+    return L
+
+
+# both parities of N = n - 1, since the Clenshaw-Curtis weights branch on it
+@pytest.mark.parametrize("n", [16, 17, 48, 63, 64, 96, 144, 161])
+@pytest.mark.parametrize("length", [1.0, 1.5])
+def test_grid_and_generator_match_loop_construction(n, length):
+    N = n - 1
+    x, Dx = _reference_cheb_nodes_and_diff(N)
+    x_new, Dx_new = gr._cheb_nodes_and_diff(N)
+    assert np.array_equal(x_new, x) and np.array_equal(Dx_new, Dx)
+    assert np.array_equal(gr._clencurt(N), _reference_clencurt(N))
+    grid = build_grid(n, length)
+    assert np.array_equal(grid.D, Dx * (-2.0 / length))
+    assert np.array_equal(grid.V, _reference_volterra(N, length))
+    assert np.array_equal(grid.w, _reference_clencurt(N) * (length / 2.0))
+    for p in (1.5, 3.0):
+        params = cached_params(p)
+        assert np.array_equal(sp.assemble_L(grid, params).L,
+                              _reference_L(grid, params))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -178,6 +258,31 @@ def test_riesz_projection_on_admissible_domain(p, n):
     assert np.linalg.norm(proj.P @ ops.L - ops.L @ proj.P, 2) <= 1e-8
 
 
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [48, 96, 144])
+def test_projection_diagnostics_match_dense_linear_algebra(p, n):
+    proj = cached_projection(p, n)
+    P = proj.P
+    svals = np.linalg.svd(P, compute_uv=False)
+    assert proj.rank == int(np.sum(svals > 1e-6))
+    assert abs(proj.idempotency_defect
+               - np.linalg.norm(P @ P - P, 2)) <= 1e-13
+
+
+def test_projection_defect_sees_a_misnormalised_functional(monkeypatch):
+    # the closed form |l.g - 1| sigma must read a functional scaled off
+    # l^T g = 1 as the dense ||P^2 - P||_2 does
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1.01 * solve(a, b))
+    proj = sp.riesz_projection(cached_ops(3.0, 96))
+    dense = np.linalg.norm(proj.P @ proj.P - proj.P, 2)
+    assert dense > 1e-3
+    assert proj.idempotency_defect == pytest.approx(dense, rel=1e-10)
+    checks = {r.name: r.ok for r in vl.suite_spectral(cached_params(3.0),
+                                                      96, 0)}
+    assert checks["projection_idempotency"] is False
+
+
 def _contour_projection(L, m=32, center=1.0, radius=0.5):
     """(2 pi i)^-1 oint (lam - L)^-1 dlam by the m-point trapezoid rule on
     |lam - center| = radius; converges exponentially in m when the circle
@@ -218,7 +323,7 @@ def test_spectrum_report_json_schema():
     report = sp.discrete_eigenvalues(ops, (cached_grid(64), cached_grid(96)))
     doc = json.loads(report.to_json())
     assert set(doc) == {"p", "n_coarse", "n_fine", "analytic", "discrete",
-                        "projection_rank", "projection_defect"}
+                        "projection_rank", "projection_defect", "timings"}
     assert doc["n_coarse"] == 64 and doc["n_fine"] == 96
     assert all(set(d) == {"re", "im", "stable"} for d in doc["discrete"])
 
