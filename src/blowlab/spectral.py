@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .grid import Grid
-from .model import Params, state_norm
+from .model import Params
 from .specfun import HypParams, hyp2f1, rgamma
 
 _BOUNDARY_PENALTY = 50.0
@@ -36,30 +36,30 @@ _STABILITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OperatorMatrices:
-    """Dense collocation matrices of the linearized generator."""
+    """Dense collocation matrices of the linearized generator: the free
+    part L0 and L itself, L0 plus the Volterra block p kappa0 V acting
+    phi2 -> phi1, with the rho=0 penalty row."""
 
     L0: np.ndarray    # free transport part, no boundary condition
-    Lp: np.ndarray    # compact Volterra coupling p*kappa0*int phi2
-    L: np.ndarray     # L0 + Lp with the rho=0 penalty row
+    L: np.ndarray     # L0 + L' with the rho=0 penalty row
     grid: Grid
     params: Params
 
 
 def assemble_L(grid, params):
-    """Assemble L0, L' and the boundary-corrected sum on a grid."""
+    """Assemble L0 and the boundary-corrected L = L0 + L' on a grid."""
     n = grid.n
     c = 2.0 / (params.p - 1.0)
     advect = -grid.nodes[:, None] * grid.D    # -diag(rho) D
     advect.flat[::n + 1] -= c
     L0 = np.block([[advect, grid.D], [grid.D, advect]])
-    Lp = np.zeros((2 * n, 2 * n))
-    Lp[:n, n:] = params.p * params.kappa0 * grid.V
-    L = L0 + Lp
+    L = L0.copy()
+    L[:n, n:] += params.p * params.kappa0 * grid.V
     L[0, :] = 0.0
     L[0, 0] = -max(_BOUNDARY_PENALTY, c + 10.0)
-    for a in (L0, Lp, L):
+    for a in (L0, L):
         a.setflags(write=False)
-    return OperatorMatrices(L0=L0, Lp=Lp, L=L, grid=grid, params=params)
+    return OperatorMatrices(L0=L0, L=L, grid=grid, params=params)
 
 
 def symmetry_mode(grid, params):
@@ -83,7 +83,12 @@ def quantization_Q(lam, params):
 
 
 def analytic_eigenvalues(params, re_min):
-    """Both quantization families intersected with (re_min, inf), sorted."""
+    """The zeros 1 - 2k of Q in (re_min, inf), sorted.
+
+    The other family of zeros, -2k - 2(p+1)/(p-1), starts 2.5 + 2/(p-1)
+    below omega_tilde, so it never meets a half-plane with re_min >
+    omega_tilde.
+    """
     if not re_min > params.omega_tilde:
         raise DomainError(
             f"re_min={re_min} out of range: need re_min > omega_tilde="
@@ -92,11 +97,6 @@ def analytic_eigenvalues(params, re_min):
     k = 0
     while 1.0 - 2.0 * k > re_min:
         vals.append(1.0 - 2.0 * k)
-        k += 1
-    offset = 2.0 * (params.p + 1.0) / (params.p - 1.0)
-    k = 0
-    while -2.0 * k - offset > re_min:
-        vals.append(-2.0 * k - offset)
         k += 1
     return sorted(vals)
 
@@ -116,7 +116,6 @@ class ProjectionResult:
     P: np.ndarray
     idempotency_defect: float
     rank: int
-    g_residual: float
     functional: np.ndarray   # l with L^T l = l and l @ g = 1
 
 
@@ -134,8 +133,8 @@ def riesz_projection(ops):
     which is nonsingular exactly when eigenvalue 1 is algebraically simple
     and normalises l^T g = 1 (then s = 0).  The diagnostics need no
     factorisation of P: sigma = ||g|| ||l|| is its one singular value, the
-    rank counts sigma > 1e-6, ||P^2 - P||_2 = |l^T g - 1| sigma because
-    P^2 = (l^T g) P, and the quadrature norm of P g - g is taken as is.
+    rank counts sigma > 1e-6, and ||P^2 - P||_2 = |l^T g - 1| sigma because
+    P^2 = (l^T g) P.
     """
     L = ops.L
     dim = L.shape[0]
@@ -154,12 +153,10 @@ def riesz_projection(ops):
     P = np.outer(gvec, lvec)
     sigma = float(np.linalg.norm(gvec) * np.linalg.norm(lvec))
     defect = abs(float(lvec @ gvec) - 1.0) * sigma
-    g_res = state_norm(ops.grid, P @ gvec - gvec)
     for a in (P, lvec):
         a.setflags(write=False)
     return ProjectionResult(P=P, idempotency_defect=defect,
-                            rank=int(sigma > 1e-6), g_residual=g_res,
-                            functional=lvec)
+                            rank=int(sigma > 1e-6), functional=lvec)
 
 
 @dataclass
@@ -204,7 +201,10 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
     least 1.5.  Eigenvalues of the fine discretization with real part above
     omega_tilde + 0.1 (or `halfplane` if given) are reported; each is
-    flagged stable when a coarse-grid eigenvalue lies within 1e-6.  The
+    flagged stable when a coarse-grid eigenvalue lies within 1e-6.  Both
+    this list and the analytic one keep what lies above one edge, 1e-6
+    below the window, so an analytic eigenvalue on the window's edge and
+    the discrete one that resolves it are reported together.  The
     report's `timings` holds the seconds spent assembling the operators
     not passed in (`operators_s`), in the two eigenvalue solves
     (`eigenvalues_s`) and in the fine grid's Riesz projection
@@ -225,9 +225,12 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     ev_f = _eigvals(ops_f.L)
     solved = time.perf_counter()
     window = params.omega_tilde + 0.1 if halfplane is None else halfplane
+    # a discrete eigenvalue that resolves an analytic one on the window's
+    # edge may round to either side of it, so both lists are cut below it
+    edge = window - _STABILITY_TOL
     report = SpectrumReport(p=params.p, n_coarse=coarse.n, n_fine=fine.n,
-                            analytic=analytic_eigenvalues(params, window))
-    candidates = ev_f[ev_f.real > window]
+                            analytic=analytic_eigenvalues(params, edge))
+    candidates = ev_f[ev_f.real > edge]
     order = np.lexsort((candidates.imag, -candidates.real))
     for lam in candidates[order]:
         dist = np.abs(ev_c - lam).min() if ev_c.size else np.inf

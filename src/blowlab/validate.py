@@ -6,6 +6,7 @@ returns one CheckResult per check, with the measured value and its bound;
 `--out`) and exits nonzero if any fail, and pytest runs each suite as its
 own test.  The suites are grouped so that a fault in one ingredient (say,
 a sign error in the nonlinearity) shows up in the groups that depend on it.
+No two checks read the same quantity, and none holds by construction.
 """
 
 import math
@@ -132,6 +133,8 @@ def suite_lipschitz(params, n, seed):
 
 
 def suite_model(params, n, seed):
+    """Hardy and sup bounds of the grid operators, the energy norm, the
+    blow-up solution's ODE and the initial-state map U."""
     rng = np.random.default_rng(seed)
     out = []
     unit = build_grid(n)
@@ -162,6 +165,26 @@ def suite_model(params, n, seed):
         triangle = max(triangle, md.energy_norm(summed) - (na + nb))
     out.append(_upper("model", "energy_homogeneity", homog, 1e-9))
     out.append(_upper("model", "energy_triangle_violation", triangle, 1e-10))
+
+    # U(v, T) = T^q [v(T rho) + kappa(T rho)] - kappa(rho) in closed form
+    # for polynomial v (scaled by k); T != 1 and v != 0 make U_map
+    # interpolate v off its grid
+    k, q, T = params.kappa_root, 2.0 / (params.p - 1.0), 1.1
+
+    def v_at(s):
+        return np.concatenate([k * s * (1.0 - s**2), k * (s - 0.5 * s**4)])
+
+    def kappa_at(s):
+        return np.concatenate([q * k * s, np.full(s.size, k)])
+
+    vs = v_at(cone.nodes)
+    rho = unit.nodes
+    exact = T**q * (v_at(T * rho) + kappa_at(T * rho)) - kappa_at(rho)
+    umap = md.U_map(md.DataPair(v1=vs[:n], v2=vs[n:], grid=cone), T, params,
+                    unit)
+    out.append(_upper("model", "U_map_closed_form",
+                      np.abs(umap - exact).max() / np.abs(exact).max(),
+                      1e-12))
 
     # psi_tt = psi^p pointwise, 4th-order finite-difference accuracy
     t0 = 0.3
@@ -198,28 +221,23 @@ def suite_spectral(params, n, seed):
     gvec = sp.symmetry_mode(gf, params)
     out.append(_upper("spectral", "symmetry_mode_residual",
                       md.state_norm(gf, ops_f.L @ gvec - gvec), 1e-10))
-    lp_block = np.abs(ops_f.Lp[:n_fine, n_fine:]
-                      - params.p * params.kappa0 * gf.V).max()
-    outside = np.ones(ops_f.Lp.shape, dtype=bool)
-    outside[:n_fine, n_fine:] = False
-    lp_rest = np.abs(ops_f.Lp[outside]).max()
-    out.append(_upper("spectral", "volterra_block_structure",
-                      float(max(lp_block, lp_rest)), 1e-12))
 
     proj = sp.riesz_projection(ops_f)
     out.append(_upper("spectral", "projection_idempotency",
                       proj.idempotency_defect, 1e-8))
-    out.append(_interval("spectral", "projection_rank", proj.rank, 1, 1))
-    out.append(_upper("spectral", "projection_g_residual",
-                      proj.g_residual, 1e-8))
     out.append(_upper("spectral", "projection_commutator",
                       float(np.linalg.norm(proj.P @ ops_f.L
                                            - ops_f.L @ proj.P, 2)), 1e-8))
 
+    # each stable eigenvalue claims the nearest analytic one not yet
+    # claimed, so two stable eigenvalues on one analytic eigenvalue fail
     report = sp.discrete_eigenvalues(ops_c, (gc, gf))
     agree = 0.0
+    free = list(report.analytic)
     for lam in report.stable_eigenvalues():
-        agree = max(agree, min(abs(lam - a) for a in report.analytic))
+        match = min(free, key=lambda a: abs(lam - a), default=math.inf)
+        free = [a for a in free if a != match]
+        agree = max(agree, abs(lam - match))
     out.append(_upper("spectral", "quantization_agreement", agree, 1e-5))
 
     # Wronskian of the fundamental pair of the eigenvalue-1 equation
@@ -250,19 +268,12 @@ def suite_spectral(params, n, seed):
 
 
 def suite_rhs(params, n, seed):
-    """Identities of the right-hand side L u + (rho N(A u2), 0) that
-    `integrate` steps, checked against inline re-derivations."""
+    """The nonlinear part (rho N(A u2), 0) of the right-hand side that
+    `integrate` steps, against an inline sign-explicit evaluation at the
+    symmetry mode, where A u2 = 1; seed is not used."""
     out = []
     grid = build_grid(n)
-    ops = sp.assemble_L(grid, params)
-    zero = np.zeros(2 * n)
-    d0 = ops.L @ zero + ev.nonlinear_term(grid, params, zero)
-    out.append(_upper("rhs", "vanishes_at_zero",
-                      md.state_norm(grid, d0), 1e-12))
     gvec = sp.symmetry_mode(grid, params)
-    out.append(_upper("rhs", "linear_symmetry_mode",
-                      md.state_norm(grid, ops.L @ gvec - gvec), 1e-10))
-    # nonlinear term against an inline sign-explicit evaluation
     extra = ev.nonlinear_term(grid, params, gvec)
     k = params.kappa_root
     y = k + 1.0
@@ -272,24 +283,12 @@ def suite_rhs(params, n, seed):
     oracle[0] = 0.0
     out.append(_upper("rhs", "nonlinear_term_oracle",
                       float(np.abs(extra - oracle).max()), 1e-10))
-
-    rng = np.random.default_rng(seed)
-    ua = md.random_polynomial_state(grid, rng, amplitude=0.3)
-    ub = md.random_polynomial_state(grid, rng, amplitude=0.3)
-    combo = 2.0 * ua - 0.5 * ub
-    kw = dict(nonlinear=False, projection=sp.riesz_projection(ops))
-    ta = ev.integrate(ua, 1.0, ops, grid, params, **kw)
-    tb = ev.integrate(ub, 1.0, ops, grid, params, **kw)
-    tc = ev.integrate(combo, 1.0, ops, grid, params, **kw)
-    target = 2.0 * ta.states[-1] - 0.5 * tb.states[-1]
-    out.append(_upper("rhs", "linear_superposition",
-                      md.state_norm(grid, tc.states[-1] - target), 1e-9))
     return out
 
 
 def suite_evolve(params, n, seed):
     """Growth, decay, convergence and tuning of the evolution, on grids of
-    its own (48, 64 and 72 points, and 32 at p=3): n is not used."""
+    its own (48 and 72 points, and 32 at p=3): n is not used."""
     out = []
     tau_end = 8.0
     grid = build_grid(48)
@@ -314,8 +313,9 @@ def suite_evolve(params, n, seed):
                            abs(params.omega) - 0.15,
                            rate >= abs(params.omega) - 0.15))
 
-    # Richardson self-convergence on a junk-free smooth run; fixed at p=3
-    # where the nonlinear error signal sits well above rounding
+    # Richardson self-convergence on a junk-free smooth run, fixed at p=3:
+    # below it the step error of the n=32 run sits at rounding, and the
+    # ratio reads 0.93, 1.08 and 4.08 at p = 1.25, 1.5 and 2 (16.48 at 3)
     p3 = md.params_new(3.0)
     g32 = build_grid(32)
     ops32 = sp.assemble_L(g32, p3)
@@ -336,9 +336,7 @@ def suite_evolve(params, n, seed):
     # tuned run: weighted boundedness, early attainment, zero-correction
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
-    t_star, tuned = ev.tune_T(v, params, tau_end, grid, ops,
-                              projection=proj)
-    out.append(_interval("evolve", "tuned_T_star", t_star, 0.5, 1.5))
+    _, tuned = ev.tune_T(v, params, tau_end, grid, ops, projection=proj)
     weighted = np.exp(params.mu * tuned.taus) * tuned.norms
     out.append(_upper("evolve", "xnorm_attained_at_small_tau",
                       float(tuned.taus[int(np.argmax(weighted))]), 1.0))
@@ -347,23 +345,13 @@ def suite_evolve(params, n, seed):
     out.append(_upper("evolve", "zero_correction_identity",
                       ev.correction_residual(tuned, grid, params, proj), 1e-4))
 
-    # duhamel residual, linear flavor
-    g64 = build_grid(64)
-    ops64 = sp.assemble_L(g64, params)
-    proj64 = sp.riesz_projection(ops64)
-    u64 = md.random_polynomial_state(g64, rng, amplitude=1e-3)
-    trl = ev.integrate(u64, 3.0, ops64, g64, params, nonlinear=False,
-                       dtau=1e-3, projection=proj64)
-    out.append(_upper("evolve", "duhamel_linear_residual",
-                      ev.duhamel_residual(trl, ops64, g64, params), 1e-6))
-
     # decay-fit rate stability under grid refinement
     n2 = 72
     grid2 = build_grid(n2)
     ops2 = sp.assemble_L(grid2, params)
     proj2 = sp.riesz_projection(ops2)
-    t_star2, tuned2 = ev.tune_T(v, params, tau_end, grid2, ops2,
-                                projection=proj2)
+    _, tuned2 = ev.tune_T(v, params, tau_end, grid2, ops2,
+                          projection=proj2)
     r1, _ = ev.decay_fit(tuned, (2.0, tau_end - 1.0))
     r2, _ = ev.decay_fit(tuned2, (2.0, tau_end - 1.0))
     out.append(_upper("evolve", "refinement_rate_drift", abs(r1 - r2), 0.02))
