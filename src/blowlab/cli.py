@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -74,13 +75,17 @@ def _step_error(traj, ops, grid, params, h, proj):
 
 
 def cmd_evolve(args):
+    marks = [("start", time.perf_counter())]    # (phase, when it ended)
     params = md.params_new(args.p, T=args.T, eps=args.eps)
     grid = build_grid(args.n)
     ops = sp.assemble_L(grid, params)
+    marks.append(("grid_operator", time.perf_counter()))
     proj = sp.riesz_projection(ops)
+    marks.append(("projection", time.perf_counter()))
     dtau = args.dtau if args.dtau is not None else ev.stable_dtau(ops)
     nsub, h = ev.substeps(dtau)
     v = _seeded_data(args, params)
+    marks.append(("data", time.perf_counter()))
     t_star = None
     abort = None
     if args.tune:
@@ -96,8 +101,9 @@ def cmd_evolve(args):
             # the growth rate stays measurable, then report the abort
             traj = exc.trajectory
             abort = exc
-    out = args.out or "trajectory.csv"
-    traj.to_csv(out)
+    marks.append(("solve", time.perf_counter()))
+    step_error = _step_error(traj, ops, grid, params, h, proj)
+    marks.append(("step_error", time.perf_counter()))
     summary = {
         "p": args.p, "n": args.n, "eps": args.eps, "seed": args.seed,
         "amplitude": args.amplitude, "tau_end": args.tau_end,
@@ -110,8 +116,7 @@ def cmd_evolve(args):
         "tuning_stop": traj.tuning_stop,
         "integrator": {"scheme": ev.SCHEME, "substep": h,
                        "steps": nsub * (len(traj.taus) - 1),
-                       "step_error": _step_error(traj, ops, grid, params, h,
-                                                 proj)},
+                       "step_error": step_error},
     }
     span = float(traj.taus[-1])
     window = (min(2.0, 0.5 * span), float(traj.taus[-1]) - min(1.0, 0.2 * span))
@@ -128,6 +133,9 @@ def cmd_evolve(args):
                 traj.taus, traj.unstable_coeffs, window)
         except DomainError:
             pass
+    marks.append(("fits", time.perf_counter()))
+    out = args.out or "trajectory.csv"
+    traj.to_csv(out)
     if args.field_out:
         # reconstructed physical field at the last sample; trajectory time
         # is the shifted variable, the unshifted one is tau - log T
@@ -136,6 +144,9 @@ def cmd_evolve(args):
         tau_phys = float(traj.taus[-1]) - math.log(T_used)
         rec = md.reconstruct_field(traj.states[-1], tau_phys, p_used, grid)
         md.field_to_csv(rec, T_used - math.exp(-tau_phys), args.field_out)
+    marks.append(("writes", time.perf_counter()))
+    summary["timings"] = {f"{name}_s": end - start for (_, start), (name, end)
+                          in zip(marks, marks[1:])}
     spath = _summary_path(out)
     with open(spath, "w") as fh:
         json.dump(summary, fh, indent=2)

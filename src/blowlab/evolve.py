@@ -9,11 +9,12 @@ O(n^-2) stiffness of the Chebyshev operator.  The default is 4 steps per
 sample, aimed at a relative state error of at most 6.1e-9 over tau <= 4
 at amplitude 1e-3 (against 128 steps per sample, untuned runs from
 stable-subspace data at p = 3; 8 steps give 3.8e-10, 2 steps 9.9e-8);
-phi1(0) = 0 is re-imposed after every step.  The nonlinear term reads the
-state only through A phi2 and writes only phi1, so the RK4 stages are
-carried as n-vectors of those reads, and they depend on each other only
-two levels deep: a step evaluates them in two rounds, each one nonlin_N
-call on the stacked 2n-vector of two stages' reads.  The exponential is
+phi1(0) = 0 is re-imposed after every step, and overflow or NaN is caught
+once per sample.  The nonlinear term reads the state only through A phi2
+and writes only phi1, so the RK4 stages are carried as n-vectors of those
+reads, two levels deep: a step evaluates them in two rounds, each one
+nonlin_N call on two stages' stacked reads, with matrices built once per
+operator and step.  The exponential is
 `_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
 Appl. 26, 2005) in numpy, so that no scipy module is imported.
 
@@ -176,11 +177,14 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     batched product, for R E2 k1 and R E2 k3; round two, one nonlin_N call
     on the 2n reads (R E2 u + h/2 R E2 k1, R E u + h R E2 k3) for
     (N2, N4); and one (2n x 2n) matvec for E k1 and E2 (k2 + k3).
+    These matrices are built once per operator and step and kept on
+    `ops`, so repeated runs, such as tune_T's, build them once.
     With dtau=None the step is stable_dtau(ops); an explicit dtau must lie
     in (0, 0.1] and is shortened so that a whole number of steps spans
     each 0.1-sample interval.  Nonlinear runs abort (AmplitudeAbort,
     carrying the partial trajectory) once the perturbation norm exceeds 1,
-    the boundary of the smallness regime.
+    the boundary of the smallness regime; every run raises OverflowAbort
+    when a sample has an entry above 1e12 or NaN, checked once per sample.
     """
     if not 0.0 < tau_end < math.inf:
         raise DomainError(
@@ -207,11 +211,50 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
                           nonlinear=nonlinear)
 
     record(0, u)
-    E2 = _expm(0.5 * h * ops.L)
-    E = E2 @ E2
-    if nonlinear:
+    n = grid.n
+    E, reads, stage_reads, combine, last = _step_matrices(ops, grid, h)
+    # inf and NaN persist, so the guard after each sample sees any overflow
+    # of its steps; the steps in between may overflow silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nsamples + 1):
+            for _ in range(nsub):
+                if nonlinear:
+                    r = reads @ u
+                    # round one: (N1, N3) = N(R u, R E2 u)
+                    n13 = nonlin_N(params, r[:2 * n])
+                    # round two: (N2, N4) = N(R E2 u + h/2 R E2 k1,
+                    # R E u + h R E2 k3)
+                    n24 = nonlin_N(params, r[n:3 * n] + np.matmul(
+                        stage_reads, n13.reshape(2, n, 1)).ravel())
+                    n13[n:] += n24[:n]
+                    u = r[3 * n:] + combine @ n13
+                    u[:n] += last * n24[n:]
+                else:
+                    u = E @ u
+                u[0] = 0.0
+            # fails on NaN as well as on overflow
+            if not np.abs(u).max() <= _OVERFLOW_LIMIT:
+                raise OverflowAbort(
+                    "state overflow during integration: perturbation "
+                    "exceeded 1e12")
+            record(k, u)
+            if nonlinear and norms[-1] > _AMPLITUDE_LIMIT:
+                raise AmplitudeAbort(
+                    f"perturbation norm {norms[-1]:.3g} left the smallness "
+                    f"regime (> 1) at tau={taus[-1]:.2f}",
+                    trajectory=partial_trajectory())
+    return partial_trajectory()
+
+
+def _step_matrices(ops, grid, h):
+    """(E, reads, stage_reads, combine, last), the matrices a Lawson step
+    of length h reads (see integrate), built once per operator and step
+    and kept in ops.steps."""
+    if h not in ops.steps:
         n = grid.n
         rho = grid.nodes    # rho[0] = 0 zeroes the boundary row of N
+        E2 = _expm(0.5 * h * ops.L)
+        E = E2 @ E2
         # R u, R E2 u, R E u and E u, R the read u -> A phi2
         reads = np.vstack([avg_A(grid, M[n:])
                            for M in (np.eye(2 * n), E2, E)] + [E])
@@ -221,35 +264,10 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
         # (x, y) -> E (h/6 rho x, 0) + E2 (h/3 rho y, 0)
         combine = np.hstack([(h / 6.0) * E[:, :n] * rho,
                              (h / 3.0) * E2[:, :n] * rho])
-        last = (h / 6.0) * rho
-    for k in range(1, nsamples + 1):
-        for _ in range(nsub):
-            if nonlinear:
-                r = reads @ u
-                # round one: (N1, N3) = N(R u, R E2 u)
-                n13 = nonlin_N(params, r[:2 * n])
-                # round two: (N2, N4) = N(R E2 u + h/2 R E2 k1,
-                # R E u + h R E2 k3)
-                n24 = nonlin_N(params, r[n:3 * n] + np.matmul(
-                    stage_reads, n13.reshape(2, n, 1)).ravel())
-                n13[n:] += n24[:n]
-                u = r[3 * n:] + combine @ n13
-                u[:n] += last * n24[n:]
-            else:
-                u = E @ u
-            u[0] = 0.0
-            # fails on NaN as well as on overflow
-            if not np.abs(u).max() <= _OVERFLOW_LIMIT:
-                raise OverflowAbort(
-                    "state overflow during integration: perturbation "
-                    "exceeded 1e12")
-        record(k, u)
-        if nonlinear and norms[-1] > _AMPLITUDE_LIMIT:
-            raise AmplitudeAbort(
-                f"perturbation norm {norms[-1]:.3g} left the smallness "
-                f"regime (> 1) at tau={taus[-1]:.2f}",
-                trajectory=partial_trajectory())
-    return partial_trajectory()
+        ops.steps[h] = (E, reads, stage_reads, combine, (h / 6.0) * rho)
+        for a in ops.steps[h]:
+            a.setflags(write=False)
+    return ops.steps[h]
 
 
 def _log_linear_fit(taus, values, tau_window):

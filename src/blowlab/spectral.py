@@ -38,12 +38,15 @@ _STABILITY_TOL = 1e-6
 class OperatorMatrices:
     """Dense collocation matrices of the linearized generator: the free
     part L0 and L itself, L0 plus the Volterra block p kappa0 V acting
-    phi2 -> phi1, with the rho=0 penalty row."""
+    phi2 -> phi1, with the rho=0 penalty row.  `steps` maps a Lawson step
+    h to the matrices evolve.integrate steps with, built on first use."""
 
     L0: np.ndarray    # free transport part, no boundary condition
     L: np.ndarray     # L0 + L' with the rho=0 penalty row
     grid: Grid
     params: Params
+    steps: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 def assemble_L(grid, params):

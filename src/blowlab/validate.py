@@ -36,6 +36,11 @@ class CheckResult:
                 f"value={self.value:.6g} bound={self.bound:.6g}")
 
 
+def _worst(*values):
+    """The largest value, or NaN if any is NaN (max drops a late NaN)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _upper(suite, name, value, bound):
     return CheckResult(suite, name, float(value), float(bound),
                        bool(value <= bound))
@@ -51,7 +56,8 @@ def suite_specfun(params, n, seed):
     rng = np.random.default_rng(seed)
     out = []
     xs = np.linspace(0.1, 30.0, 733)
-    ident = max(abs(rgamma(x) * math.exp(math.lgamma(x)) - 1.0) for x in xs)
+    ident = _worst(*(abs(rgamma(x) * math.exp(math.lgamma(x)) - 1.0)
+                     for x in xs))
     out.append(_upper("specfun", "rgamma_lngamma_identity", ident, 1e-12))
 
     # Gauss relation c [F(a,b;c) - F(a+1,b;c)] + b z F(a+1,b+1;c+1) = 0
@@ -70,7 +76,7 @@ def suite_specfun(params, n, seed):
         f2 = hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
         resid = c * (f0 - f1) + b * z * f2
         scale = max(abs(c * f0), abs(c * f1), abs(b * z * f2), 1.0)
-        worst = max(worst, abs(resid) / scale)
+        worst = _worst(worst, abs(resid) / scale)
         count += 1
     out.append(_upper("specfun", "contiguous_relation", worst, 1e-9))
 
@@ -80,7 +86,7 @@ def suite_specfun(params, n, seed):
         b = rng.uniform(-5.0, 5.0)
         c = rng.uniform(0.3, 4.0)
         z = rng.uniform(0.0, 0.95)
-        sym = max(sym, abs(hyp2f1(a, b, c, z) - hyp2f1(b, a, c, z)))
+        sym = _worst(sym, abs(hyp2f1(a, b, c, z) - hyp2f1(b, a, c, z)))
     out.append(_upper("specfun", "argument_symmetry_exact", sym, 0.0))
 
     overlap = 0.0
@@ -94,7 +100,7 @@ def suite_specfun(params, n, seed):
         z = rng.uniform(0.3, 0.5)
         direct = _series(a, b, c, z)
         conn = _connection_regular(a, b, c, z)
-        overlap = max(overlap, abs(direct - conn) / max(abs(direct), 1.0))
+        overlap = _worst(overlap, abs(direct - conn) / max(abs(direct), 1.0))
     out.append(_upper("specfun", "series_connection_overlap", overlap, 1e-9))
     return out
 
@@ -123,10 +129,10 @@ def suite_lipschitz(params, n, seed):
         u, v = su[grid.n:], sv[grid.n:]
         nu = ev.nonlinear_term(grid, params, su)[:grid.n]
         nv = ev.nonlinear_term(grid, params, sv)[:grid.n]
-        c1 = max(c1, norm(nu) / norm(u) ** 2)
+        c1 = _worst(c1, norm(nu) / norm(u) ** 2)
         diff = norm(u - v)
         if diff > 1e-12:
-            lip = max(lip, norm(nu - nv) / ((norm(u) + norm(v)) * diff))
+            lip = _worst(lip, norm(nu - nv) / ((norm(u) + norm(v)) * diff))
     out.append(_upper("lipschitz", "quadratic_smallness_constant", c1, 100.0))
     out.append(_upper("lipschitz", "lipschitz_constant", lip, 100.0))
     return out
@@ -144,10 +150,10 @@ def suite_model(params, n, seed):
         u = md.random_polynomial_state(unit, rng, amplitude=1.0)[n:]
         unorm = math.sqrt(unit.integrate(u**2))
         iu = unit.V @ u
-        linfty = max(linfty, float(np.max(
+        linfty = _worst(linfty, float(np.max(
             np.abs(iu[1:]) / np.sqrt(unit.nodes[1:])) - unorm))
         au = md.avg_A(unit, u)
-        hardy = max(hardy, math.sqrt(unit.integrate(au**2)) / unorm)
+        hardy = _worst(hardy, math.sqrt(unit.integrate(au**2)) / unorm)
     out.append(_upper("model", "linfty_bound_violation", linfty, 1e-10))
     out.append(_upper("model", "hardy_constant", hardy, 2.0))
 
@@ -160,9 +166,9 @@ def suite_model(params, n, seed):
         na, nb = md.energy_norm(fa), md.energy_norm(fb)
         lam = rng.uniform(-3.0, 3.0)
         scaled = md.RadialPair(f=lam * fa.f, g=lam * fa.g, grid=cone)
-        homog = max(homog, abs(md.energy_norm(scaled) - abs(lam) * na))
+        homog = _worst(homog, abs(md.energy_norm(scaled) - abs(lam) * na))
         summed = md.RadialPair(f=fa.f + fb.f, g=fa.g + fb.g, grid=cone)
-        triangle = max(triangle, md.energy_norm(summed) - (na + nb))
+        triangle = _worst(triangle, md.energy_norm(summed) - (na + nb))
     out.append(_upper("model", "energy_homogeneity", homog, 1e-9))
     out.append(_upper("model", "energy_triangle_violation", triangle, 1e-10))
 
@@ -237,7 +243,7 @@ def suite_spectral(params, n, seed):
     for lam in report.stable_eigenvalues():
         match = min(free, key=lambda a: abs(lam - a), default=math.inf)
         free = [a for a in free if a != match]
-        agree = max(agree, abs(lam - match))
+        agree = _worst(agree, abs(lam - match))
     out.append(_upper("spectral", "quantization_agreement", agree, 1e-5))
 
     # Wronskian of the fundamental pair of the eigenvalue-1 equation
@@ -253,7 +259,7 @@ def suite_spectral(params, n, seed):
         dh1 = 2.0 * expo * r * (1 - z) ** (-expo - 1) * h1t \
             + (1 - z) ** (-expo) * dh1t
         wron = r * dh1 - h1
-        worst = max(worst, abs(wron * (1 - z) ** (q) + 1.0))
+        worst = _worst(worst, abs(wron * (1 - z) ** (q) + 1.0))
     out.append(_upper("spectral", "wronskian_identity", worst, 1e-6))
 
     rng = np.random.default_rng(seed)
@@ -261,8 +267,8 @@ def suite_spectral(params, n, seed):
     for _ in range(100):
         u = md.random_polynomial_state(gf, rng, amplitude=1.0)
         lhs = md.state_inner(gf, ops_f.L0 @ u, u)
-        diss = max(diss, lhs - params.omega_tilde
-                   * md.state_inner(gf, u, u))
+        diss = _worst(diss, lhs - params.omega_tilde
+                      * md.state_inner(gf, u, u))
     out.append(_upper("spectral", "free_part_dissipativity", diss, 1e-8))
     return out
 

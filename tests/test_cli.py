@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -131,9 +132,17 @@ def test_evolve_overlarge_step_is_domain_error(tmp_path):
 
 def test_evolve_tuned_summary(tmp_path):
     out = tmp_path / "t.csv"
+    start = time.perf_counter()
     assert run(["evolve", "--p", "3", "--n", "32", "--amplitude", "1e-3",
                 "--tune-T", "--tau-end", "6", "--out", str(out)]) == 0
+    wall = time.perf_counter() - start
     summary = json.loads((tmp_path / "t.summary.json").read_text())
+    # the phases are timed back to back, inside the run
+    timings = summary["timings"]
+    assert list(timings) == ["grid_operator_s", "projection_s", "data_s",
+                             "solve_s", "step_error_s", "fits_s", "writes_s"]
+    assert all(value >= 0.0 for value in timings.values())
+    assert sum(timings.values()) <= wall
     assert 0.9 < summary["T_star"] < 1.1
     assert summary["rate"] is not None and summary["rate"] >= 0.35
     tuning = summary["tuning"]
@@ -167,8 +176,10 @@ def test_outputs_are_deterministic(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    sa = (tmp_path / "a.summary.json").read_bytes()
-    sb = (tmp_path / "b.summary.json").read_bytes()
+    # equal apart from the wall-clock phase timings
+    sa, sb = (json.loads((tmp_path / f"{x}.summary.json").read_text())
+              for x in "ab")
+    assert sa.pop("timings").keys() == sb.pop("timings").keys()
     assert sa == sb
 
 

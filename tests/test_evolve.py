@@ -132,6 +132,39 @@ def test_integrate_evaluates_stages_in_two_rounds(monkeypatch):
     assert lengths == []
 
 
+@pytest.mark.parametrize("nonlinear, dtau", [(True, None), (False, None),
+                                              (True, 0.02)])
+def test_integrate_reuses_step_matrices_bit_for_bit(nonlinear, dtau):
+    # a second run on one operator steps with the matrices the first one
+    # built, and reads what a run on a freshly assembled operator reads
+    params, grid, _, _ = _setup()
+    ops = sp.assemble_L(grid, params)
+    proj = sp.riesz_projection(ops)
+    u = md.random_polynomial_state(grid, np.random.default_rng(5))
+    kw = dict(nonlinear=nonlinear, dtau=dtau, projection=proj)
+    ev.integrate(0.5 * u, 1.0, ops, grid, params, **kw)
+    assert len(ops.steps) == 1
+    again = ev.integrate(u, 1.0, ops, grid, params, **kw)
+    assert len(ops.steps) == 1
+    fresh = ev.integrate(u, 1.0, sp.assemble_L(grid, params), grid, params,
+                         **kw)
+    for name in ("states", "norms", "unstable_coeffs"):
+        assert np.array_equal(getattr(again, name), getattr(fresh, name))
+
+
+def test_step_matrices_belong_to_their_operator():
+    params, grid, _, proj = _setup()
+    a, b = sp.assemble_L(grid, params), sp.assemble_L(grid, params)
+    u = 1e-3 * sp.symmetry_mode(grid, params)
+    for ops in (a, b):
+        ev.integrate(u, 0.1, ops, grid, params, projection=proj)
+    assert a.steps.keys() == b.steps.keys() == {0.025}
+    for ma, mb in zip(a.steps[0.025], b.steps[0.025]):
+        assert np.array_equal(ma, mb)
+        assert not np.shares_memory(ma, mb)
+        assert not ma.flags.writeable
+
+
 def test_integrate_step_size_guard():
     params, grid, ops, proj = _setup(n=96)
     gsym = sp.symmetry_mode(grid, params)
@@ -325,6 +358,30 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
     for T, init in zip(Ts, calls):
         assert np.array_equal(init, md.U_map(v, T, params, grid))
     assert t_star in Ts
+
+
+def test_tune_T_builds_step_matrices_once(monkeypatch):
+    # every integration of a tuning steps with one e^{hL/2}, built on the
+    # operator's first run
+    params, grid, _, _ = _setup()
+    ops = sp.assemble_L(grid, params)
+    proj = sp.riesz_projection(ops)
+    gdata = cached_grid(48, 1.5)
+    fg = md.random_polynomial_data(gdata, np.random.default_rng(42), params,
+                                   amplitude=1e-3)
+    v = md.data_to_v(fg, params)
+    expm_calls = []
+    expm = ev._expm
+
+    def counted(A):
+        expm_calls.append(A)
+        return expm(A)
+
+    monkeypatch.setattr(ev, "_expm", counted)
+    integrations = _count_integrations(monkeypatch)
+    ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
+    assert len(integrations) >= 2
+    assert len(expm_calls) == 1
 
 
 def test_tune_T_no_sign_change_raises(monkeypatch):
@@ -540,8 +597,9 @@ def test_physical_oracle_guards():
 
 
 def test_rhs_overflow_guard():
-    # integrate checks the state after every step, so a run this large
-    # overflows within the first sample, before its amplitude is checked
+    # integrate checks the state after every sample, before its amplitude,
+    # so a run this large overflows (to inf and NaN, which persist) within
+    # the first sample and aborts there without a RuntimeWarning
     # (OverflowAbort and AmplitudeAbort are sibling classes)
     params, grid, ops, proj = _setup()
     u = np.concatenate([np.zeros(48), np.full(48, 1e11)])
