@@ -60,11 +60,13 @@ def _seeded_data(args, params):
     return md.data_to_v(fg, params)
 
 
-def _step_error(traj, ops, grid, params, h, proj):
+def _step_error(traj, ops, grid, params, proj):
     """Relative state difference after the first 0.1 sample between the
-    step h taken and h/2, or None for a run without that sample."""
+    step h the run took there and h/2, or None for a run without that
+    sample."""
     if len(traj.states) < 2:
         return None
+    h = next(iter(traj.step_counts))
     try:
         half = ev.integrate(traj.states[0], 0.1, ops, grid, params,
                             nonlinear=True, dtau=0.5 * h, projection=proj)
@@ -83,7 +85,6 @@ def cmd_evolve(args):
     proj = sp.riesz_projection(ops)
     marks.append(("projection", time.perf_counter()))
     dtau = args.dtau if args.dtau is not None else ev.stable_dtau(ops)
-    nsub, h = ev.substeps(dtau)
     v = _seeded_data(args, params)
     marks.append(("data", time.perf_counter()))
     t_star = None
@@ -102,7 +103,7 @@ def cmd_evolve(args):
             traj = exc.trajectory
             abort = exc
     marks.append(("solve", time.perf_counter()))
-    step_error = _step_error(traj, ops, grid, params, h, proj)
+    step_error = _step_error(traj, ops, grid, params, proj)
     marks.append(("step_error", time.perf_counter()))
     summary = {
         "p": args.p, "n": args.n, "eps": args.eps, "seed": args.seed,
@@ -114,8 +115,11 @@ def cmd_evolve(args):
         "T_lin": traj.tuning[0].T if traj.tuning else None,
         "tuning": [step._asdict() for step in traj.tuning],
         "tuning_stop": traj.tuning_stop,
-        "integrator": {"scheme": ev.SCHEME, "substep": h,
-                       "steps": nsub * (len(traj.taus) - 1),
+        "integrator": {"scheme": ev.SCHEME,
+                       "substep": next(iter(traj.step_counts), None),
+                       "steps": sum(traj.step_counts.values()),
+                       "steps_by_substep": {str(h): count for h, count
+                                            in traj.step_counts.items()},
                        "step_error": step_error},
     }
     span = float(traj.taus[-1])
@@ -229,8 +233,10 @@ def build_parser():
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
     p_ev.add_argument("--dtau", type=float, default=None,
-                      help="Lawson RK4 step, at most 0.1 (default: 0.025, "
-                           "4 steps per 0.1 sample)")
+                      help="longest Lawson RK4 step, at most 0.1 "
+                           "(default: 0.1, so 4, 2 or 1 steps per 0.1 "
+                           "sample as the state decays; a dtau of at most "
+                           "0.025 is a fixed step)")
     p_ev.add_argument("--field-out", type=str, default="",
                       help="also write the reconstructed physical field at "
                            "the last sample (CSV t,r,psi,psi_t)")

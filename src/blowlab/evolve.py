@@ -5,17 +5,17 @@ by Lawson's integrating-factor RK4 (Lawson, SIAM J. Numer. Anal. 4, 1967),
 sampling every 0.1 in tau: the linear part is propagated exactly by the
 matrix exponential e^{hL/2} and its square, and RK4 steps only the small,
 smooth nonlinear term, so the step is set by accuracy, not by the
-O(n^-2) stiffness of the Chebyshev operator.  The default is 4 steps per
-sample, aimed at a relative state error of at most 6.1e-9 over tau <= 4
-at amplitude 1e-3 (against 128 steps per sample, untuned runs from
-stable-subspace data at p = 3; 8 steps give 3.8e-10, 2 steps 9.9e-8);
-phi1(0) = 0 is re-imposed after every step, and overflow or NaN is caught
-once per sample.  The nonlinear term reads the state only through A phi2
-and writes only phi1, so the RK4 stages are carried as n-vectors of those
-reads, two levels deep: a step evaluates them in two rounds, each one
-nonlin_N call on two stages' stacked reads, with matrices built once per
-operator and step.  The exponential is
-`_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
+O(n^-2) stiffness of the Chebyshev operator.  A sample takes 4 steps
+while the state is above 1/16 of its initial norm, then 2, and 1 below
+1/64: the step error shrinks with the quadratic nonlinear term.  Over
+tau <= 4 that keeps the state within 7.3e-9 of ||Phi(0)|| of 128 steps
+per sample, as 4 steps throughout do (p = 3, amplitude 1e-3, stable
+part of `evolve`'s data, seeds 0-9).  phi1(0) = 0 holds exactly, and
+overflow or NaN is caught once per sample.  The nonlinear term reads the
+state only through A phi2 and writes only phi1, so a step evaluates the
+RK4 stages in two rounds, each one nonlin_N call on two stages' stacked
+reads, with matrices built once per operator and step.  The exponential
+is `_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
 Appl. 26, 2005) in numpy, so that no scipy module is imported.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
@@ -26,7 +26,7 @@ independent physical-space leapfrog solver used for cross-validation.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -82,24 +82,40 @@ def _expm(A):
 
 
 def stable_dtau(ops):
-    """The default step: 1/4 of the 0.1 sample spacing.
+    """The default longest step: the 0.1 sample spacing, so that a decaying
+    run takes 4, then 2, then 1 step per sample (see integrate).
 
     The linear part is propagated exactly, so no eigenvalue of `ops` caps
     the step; it is the same for every operator.
     """
-    return _SAMPLE_DTAU / _SUBSTEPS
+    return _SAMPLE_DTAU
 
 
 def substeps(dtau):
-    """(steps per 0.1 sample, step taken) for a requested step in
-    (0, 0.1], shortened so that a whole number of steps spans each
-    sample."""
+    """The fewest steps per 0.1 sample for a requested longest step in
+    (0, 0.1]: the step is shortened so that a whole number of steps spans
+    each sample."""
     if not 0.0 < dtau <= _SAMPLE_DTAU:
         raise StepSizeError(
             f"dtau={dtau} out of range: need 0 < dtau <= {_SAMPLE_DTAU} "
             f"(the sample spacing)")
-    nsub = math.ceil(_SAMPLE_DTAU / dtau - 1e-12)
-    return nsub, _SAMPLE_DTAU / nsub
+    return math.ceil(_SAMPLE_DTAU / dtau - 1e-12)
+
+
+def _sample_steps(norm, norm0):
+    """Lawson steps for a sample that starts at state norm `norm` in a run
+    that started at `norm0`: the fewest m in (1, 2, 4) with
+    (4/m)^4 (norm/norm0)^2 <= 1/16, that is norm <= norm0 m^2/64.
+
+    With N quadratic, the error of a sample of m RK4 steps scales like
+    m h^5 ||u||^2, h = 0.1/m, so this keeps each sample's error at most
+    1/16 of that of 4 steps at the initial size.
+    """
+    if 64.0 * norm <= norm0:
+        return 1
+    if 16.0 * norm <= norm0:
+        return 2
+    return _SUBSTEPS
 
 
 def nonlinear_term(grid, params, u):
@@ -130,8 +146,11 @@ class Trajectory:
     as the rows of a (samples x 2n) array, their L2 norms and their
     unstable coefficients.
 
-    A run returned by tune_T also carries its search history in `tuning`
-    and the reason its secant search stopped in `tuning_stop`.
+    `step_counts` maps each Lawson step size to the number of steps taken
+    at it, in the order first taken, so its first key is the step of the
+    first sample.  A run returned by tune_T also carries its search
+    history in `tuning` and the reason its secant search stopped in
+    `tuning_stop`.
     """
 
     taus: np.ndarray
@@ -139,6 +158,7 @@ class Trajectory:
     norms: np.ndarray
     unstable_coeffs: np.ndarray
     nonlinear: bool = True
+    step_counts: dict = field(default_factory=dict)
     tuning: tuple = ()
     tuning_stop: object = None
 
@@ -179,17 +199,22 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     (N2, N4); and one (2n x 2n) matvec for E k1 and E2 (k2 + k3).
     These matrices are built once per operator and step and kept on
     `ops`, so repeated runs, such as tune_T's, build them once.
-    With dtau=None the step is stable_dtau(ops); an explicit dtau must lie
-    in (0, 0.1] and is shortened so that a whole number of steps spans
-    each 0.1-sample interval.  Nonlinear runs abort (AmplitudeAbort,
-    carrying the partial trajectory) once the perturbation norm exceeds 1,
-    the boundary of the smallness regime; every run raises OverflowAbort
-    when a sample has an entry above 1e12 or NaN, checked once per sample.
+
+    dtau (default stable_dtau(ops), 0.1) is the longest step and must lie
+    in (0, 0.1].  Each sample takes the larger of ceil(0.1/dtau) steps and
+    the 4, 2 or 1 steps that _sample_steps allows the state's size at the
+    start of the sample, so a decaying run lengthens its step as its
+    nonlinear term fades, a growing one keeps 4 steps, and a dtau of at
+    most 0.025 is a fixed step, shortened so that a whole number of steps
+    spans each sample.  Nonlinear runs abort (AmplitudeAbort, carrying the
+    partial trajectory) once the perturbation norm exceeds 1, the boundary
+    of the smallness regime; every run raises OverflowAbort when a sample
+    has an entry above 1e12 or NaN, checked once per sample.
     """
     if not 0.0 < tau_end < math.inf:
         raise DomainError(
             f"tau_end={tau_end} out of range: need 0 < tau_end < inf")
-    nsub, h = substeps(stable_dtau(ops) if dtau is None else dtau)
+    nsub = substeps(stable_dtau(ops) if dtau is None else dtau)
     if projection is None:
         projection = riesz_projection(ops)
     nsamples = int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
@@ -197,6 +222,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     u = np.array(initial, dtype=float)
     u[0] = 0.0
     taus, states, norms, coeffs = [], [], [], []
+    counts = {}
 
     def record(k, vec):
         taus.append(_SAMPLE_DTAU * k)
@@ -208,16 +234,21 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
         return Trajectory(taus=np.array(taus), states=np.array(states),
                           norms=np.array(norms),
                           unstable_coeffs=np.array(coeffs),
-                          nonlinear=nonlinear)
+                          nonlinear=nonlinear, step_counts=dict(counts))
 
     record(0, u)
     n = grid.n
-    E, reads, stage_reads, combine, last = _step_matrices(ops, grid, h)
+    m = None
     # inf and NaN persist, so the guard after each sample sees any overflow
     # of its steps; the steps in between may overflow silently
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, nsamples + 1):
-            for _ in range(nsub):
+            steps = max(nsub, _sample_steps(norms[-1], norms[0]))
+            if steps != m:
+                m, h = steps, _SAMPLE_DTAU / steps
+                E, reads, stage_reads, combine, last = _step_matrices(
+                    ops, grid, m)
+            for _ in range(m):
                 if nonlinear:
                     r = reads @ u
                     # round one: (N1, N3) = N(R u, R E2 u)
@@ -231,7 +262,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
                     u[:n] += last * n24[n:]
                 else:
                     u = E @ u
-                u[0] = 0.0
+            counts[h] = counts.get(h, 0) + m
             # fails on NaN as well as on overflow
             if not np.abs(u).max() <= _OVERFLOW_LIMIT:
                 raise OverflowAbort(
@@ -246,14 +277,23 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     return partial_trajectory()
 
 
-def _step_matrices(ops, grid, h):
+def _step_matrices(ops, grid, steps):
     """(E, reads, stage_reads, combine, last), the matrices a Lawson step
-    of length h reads (see integrate), built once per operator and step
-    and kept in ops.steps."""
+    of length h = 0.1/steps reads (see integrate), built once per operator
+    and step and kept in ops.steps under h.
+
+    The steps 0.05 and 0.1 call no _expm: their e^{hL/2} is the e^{hL}
+    of the step half as long, which is built first.  Every other step
+    computes its own.
+    """
+    h = _SAMPLE_DTAU / steps
     if h not in ops.steps:
         n = grid.n
         rho = grid.nodes    # rho[0] = 0 zeroes the boundary row of N
-        E2 = _expm(0.5 * h * ops.L)
+        if steps in (1, 2):
+            E2 = _step_matrices(ops, grid, 2 * steps)[0]
+        else:
+            E2 = _expm(0.5 * h * ops.L)
         E = E2 @ E2
         # R u, R E2 u, R E u and E u, R the read u -> A phi2
         reads = np.vstack([avg_A(grid, M[n:])

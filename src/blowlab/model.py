@@ -12,6 +12,7 @@ rho = 0 (boundary condition).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +42,11 @@ class Params:
     omega: float
     mu: float
 
-    @property
+    @cached_property
     def kappa_root(self):
-        """kappa0^(1/(p-1)), the amplitude of psi^T at T - t = 1; it
-        overflows a float below p of about 1.014."""
+        """kappa0^(1/(p-1)), the amplitude of psi^T at T - t = 1, computed
+        on first access; it overflows a float below p of about 1.014, and
+        then every access raises."""
         try:
             return self.kappa0 ** (1.0 / (self.p - 1.0))
         except OverflowError:

@@ -152,12 +152,19 @@ def test_evolve_tuned_summary(tmp_path):
     # need not be the last one integrated
     assert summary["T_star"] in [step["T"] for step in tuning]
     assert summary["tuning_stop"] in ("zero", "sub_ulp", "repeat")
-    # the step-halving estimate after the first sample reads 2.0e-11 here,
-    # under the 6.1e-9 state error of 4 steps per sample over tau <= 4
+    # the step-halving estimate after the first sample, taken at 0.025,
+    # reads 2.0e-11 here, under the state error of the default stepping
     integrator = summary["integrator"]
     assert 0.0 < integrator.pop("step_error") <= 1e-9
+    # the tuned run decays, so it takes 4, then 2, then 1 step per sample:
+    # 164 steps where a fixed 0.025 would take 4 * 60, spanning tau = 6
+    by_substep = integrator.pop("steps_by_substep")
+    assert by_substep == {"0.025": 120, "0.05": 28, "0.1": 16}
+    assert sum(float(h) * count for h, count in by_substep.items()) \
+        == pytest.approx(6.0, rel=1e-12)
     assert integrator == {"scheme": "lawson-rk4", "substep": 0.025,
-                          "steps": 4 * 60}
+                          "steps": sum(by_substep.values())}
+    assert integrator["steps"] < 4 * 60
 
 
 def test_energy_slope(tmp_path):

@@ -105,6 +105,9 @@ def test_integrate_matches_full_state_lawson(p, amplitude):
                         dtau=0.025, projection=proj)
     ref = _lawson_reference(u, 2.0, ops, grid, params, 0.025)
     assert traj.states.shape == ref.shape
+    # row 0 of every step matrix is e^{-50h} e_0 or zero, so phi1(0) = 0,
+    # imposed on the initial state, holds exactly at every sample
+    assert not traj.states[:, 0].any()
     for got, want in zip(traj.states, ref):
         err = md.state_norm(grid, got - want)
         assert err <= 1e-13 * md.state_norm(grid, want)
@@ -124,45 +127,98 @@ def test_integrate_evaluates_stages_in_two_rounds(monkeypatch):
 
     monkeypatch.setattr(ev, "nonlin_N", counting)
     u = md.random_polynomial_state(grid, np.random.default_rng(0))
-    ev.integrate(u, 0.1, ops, grid, params, nonlinear=True, projection=proj)
-    assert ev.stable_dtau(ops) == 0.025
+    traj = ev.integrate(u, 0.1, ops, grid, params, nonlinear=True,
+                        projection=proj)
+    # the default longest step is the sample spacing, and the first sample
+    # takes 4 steps of 0.025
+    assert ev.stable_dtau(ops) == 0.1
+    assert traj.step_counts == {0.025: 4}
     assert lengths == [2 * grid.n] * (2 * 4)
     lengths.clear()
     ev.integrate(u, 0.1, ops, grid, params, nonlinear=False, projection=proj)
     assert lengths == []
 
 
+def _decaying_state(grid, params, proj, seed=5):
+    """A smooth state with its unstable coefficient removed: to tau = 4 it
+    decays below 1/64 of its size, so a default run takes all three step
+    sizes."""
+    u = md.random_polynomial_state(grid, np.random.default_rng(seed))
+    return u - (proj.functional @ u) * sp.symmetry_mode(grid, params)
+
+
 @pytest.mark.parametrize("nonlinear, dtau", [(True, None), (False, None),
                                               (True, 0.02)])
 def test_integrate_reuses_step_matrices_bit_for_bit(nonlinear, dtau):
     # a second run on one operator steps with the matrices the first one
-    # built, and reads what a run on a freshly assembled operator reads
+    # built, and reads what a run on a freshly assembled operator reads;
+    # the default steps 0.025, 0.05 and 0.1, dtau = 0.02 is a fixed step
+    sizes = 3 if dtau is None else 1
     params, grid, _, _ = _setup()
     ops = sp.assemble_L(grid, params)
     proj = sp.riesz_projection(ops)
-    u = md.random_polynomial_state(grid, np.random.default_rng(5))
+    u = _decaying_state(grid, params, proj)
     kw = dict(nonlinear=nonlinear, dtau=dtau, projection=proj)
-    ev.integrate(0.5 * u, 1.0, ops, grid, params, **kw)
-    assert len(ops.steps) == 1
-    again = ev.integrate(u, 1.0, ops, grid, params, **kw)
-    assert len(ops.steps) == 1
-    fresh = ev.integrate(u, 1.0, sp.assemble_L(grid, params), grid, params,
+    first = ev.integrate(0.5 * u, 4.0, ops, grid, params, **kw)
+    assert len(ops.steps) == len(first.step_counts) == sizes
+    again = ev.integrate(u, 4.0, ops, grid, params, **kw)
+    assert len(ops.steps) == sizes
+    fresh = ev.integrate(u, 4.0, sp.assemble_L(grid, params), grid, params,
                          **kw)
     for name in ("states", "norms", "unstable_coeffs"):
         assert np.array_equal(getattr(again, name), getattr(fresh, name))
+    assert again.step_counts == fresh.step_counts
+    assert not again.states[:, 0].any()
 
 
 def test_step_matrices_belong_to_their_operator():
     params, grid, _, proj = _setup()
     a, b = sp.assemble_L(grid, params), sp.assemble_L(grid, params)
-    u = 1e-3 * sp.symmetry_mode(grid, params)
+    u = _decaying_state(grid, params, proj)
     for ops in (a, b):
-        ev.integrate(u, 0.1, ops, grid, params, projection=proj)
-    assert a.steps.keys() == b.steps.keys() == {0.025}
-    for ma, mb in zip(a.steps[0.025], b.steps[0.025]):
-        assert np.array_equal(ma, mb)
-        assert not np.shares_memory(ma, mb)
-        assert not ma.flags.writeable
+        ev.integrate(u, 4.0, ops, grid, params, projection=proj)
+    assert a.steps.keys() == b.steps.keys() == {0.025, 0.05, 0.1}
+    for h in a.steps:
+        for ma, mb in zip(a.steps[h], b.steps[h]):
+            assert np.array_equal(ma, mb)
+            assert not np.shares_memory(ma, mb)
+            assert not ma.flags.writeable
+
+
+def test_coarse_step_matrices_square_the_finer_ones():
+    # the e^{hL/2} of the 0.05 and 0.1 steps is the e^{hL} of the step
+    # below, so only the 0.025 step calls _expm; each E agrees with scipy
+    from scipy.linalg import expm
+
+    params, grid, _, proj = _setup()
+    ops = sp.assemble_L(grid, params)
+    ev.integrate(_decaying_state(grid, params, proj), 4.0, ops, grid, params,
+                 projection=proj)
+    E = {h: ops.steps[h][0] for h in ops.steps}
+    assert np.array_equal(E[0.05], E[0.025] @ E[0.025])
+    assert np.array_equal(E[0.1], E[0.05] @ E[0.05])
+    for h, Eh in E.items():
+        ref = expm(h * ops.L)
+        assert np.abs(Eh - ref).sum(axis=0).max() \
+            <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+
+def test_growing_run_keeps_the_finest_step():
+    # the sweep's untuned configuration at p = 3 grows like e^tau, so the
+    # default stepping takes 4 steps per sample throughout and is the fixed
+    # step 0.025 bit for bit
+    params, grid, ops, proj = _setup(3.0, n=64)
+    fg = md.random_polynomial_data(cached_grid(64, 1.5),
+                                   np.random.default_rng(0), params,
+                                   amplitude=1e-3)
+    init = md.U_map(md.data_to_v(fg, params), 1.0, params, grid)
+    runs = [ev.integrate(init, 2.0, ops, grid, params, dtau=dtau,
+                         projection=proj)
+            for dtau in (ev.stable_dtau(ops), 0.025)]
+    assert runs[1].norms[-1] > runs[1].norms[0]
+    for name in ("states", "norms", "unstable_coeffs"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+    assert runs[0].step_counts == runs[1].step_counts == {0.025: 80}
 
 
 def test_integrate_step_size_guard():
@@ -382,6 +438,54 @@ def test_tune_T_builds_step_matrices_once(monkeypatch):
     ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
     assert len(integrations) >= 2
     assert len(expm_calls) == 1
+    # the longer steps of the decaying runs are squared from the 0.025 one
+    assert len(ops.steps) >= 2
+
+
+def test_tuned_run_lengthens_its_step(monkeypatch):
+    # a tuned run decays like e^-tau, so it takes 4, then 2, then 1 step
+    # per sample: its counts per step size span tau_end and add up to the
+    # steps it takes (two nonlin_N calls each), under the 4 * 80 steps of
+    # a fixed 0.025
+    params, grid, ops, proj = _setup()
+    fg = md.random_polynomial_data(cached_grid(48, 1.5),
+                                   np.random.default_rng(0), params,
+                                   amplitude=1e-3)
+    _, traj = ev.tune_T(md.data_to_v(fg, params), params, 8.0, grid, ops,
+                        projection=proj)
+    counts = traj.step_counts
+    assert list(counts) == [0.025, 0.05, 0.1]
+    assert sum(h * c for h, c in counts.items()) == pytest.approx(8.0)
+    calls = []
+    original = ev.nonlin_N
+
+    def counting(params, x):
+        calls.append(len(x))
+        return original(params, x)
+
+    monkeypatch.setattr(ev, "nonlin_N", counting)
+    again = ev.integrate(traj.states[0], 8.0, ops, grid, params,
+                         projection=proj)
+    assert np.array_equal(again.states, traj.states)
+    assert again.step_counts == counts
+    assert len(calls) == 2 * sum(counts.values()) < 2 * 4 * 80
+
+
+@pytest.mark.parametrize("p, bound", [(1.5, 0.0), (2.0, 7.8e-15),
+                                      (3.0, 4.3e-13)])
+def test_tuned_T_star_matches_a_fine_fixed_step(p, bound):
+    # the default stepping tunes T* as closely to a fixed step of 0.1/32
+    # as 4 steps per sample throughout did; the bounds are the worst case
+    # of that stepping over seeds 0-9 (n = 48, amplitude 1e-3, tau_end 8)
+    params, grid, ops, proj = _setup(p)
+    fg = md.random_polynomial_data(cached_grid(48, 1.5),
+                                   np.random.default_rng(0), params,
+                                   amplitude=1e-3)
+    v = md.data_to_v(fg, params)
+    t_star, _ = ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
+    t_ref, _ = ev.tune_T(v, params, 8.0, grid, ops, projection=proj,
+                         dtau=0.1 / 32)
+    assert abs(t_star - t_ref) <= bound
 
 
 def test_tune_T_no_sign_change_raises(monkeypatch):
@@ -514,14 +618,14 @@ def test_duhamel_residual_nonlinear_small():
                       dtau=1e-3, projection=proj)
     assert ev.duhamel_residual(tr, ops, grid, params) <= 1e-4
     # the residual is the trapezoid-quadrature floor of the identity, not
-    # the stepping error: a step eight times finer leaves it unchanged
+    # the stepping error: a step eight times finer than the default's
+    # finest, 0.025, leaves it unchanged
     rng = np.random.default_rng(11)
     u2 = md.random_polynomial_state(grid, rng, amplitude=1e-4)
-    h = ev.stable_dtau(ops)
     r_default, r_fine = (ev.duhamel_residual(
         ev.integrate(u2, 3.0, ops, grid, params, nonlinear=True,
                      dtau=dt, projection=proj), ops, grid, params)
-        for dt in (h, h / 8.0))
+        for dt in (None, 0.025 / 8.0))
     assert abs(r_default - r_fine) <= 0.01 * r_fine
 
 

@@ -90,6 +90,25 @@ def test_nonlin_N_values():
                        3.0 * math.sqrt(2.0) * xs**2 + xs**3, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.02, 1.1, 1.5, 2.0, 3.0])
+def test_kappa_root_is_computed_once(p):
+    # the value is the float power, formed on first access and then kept
+    params = md.params_new(p)
+    assert "kappa_root" not in vars(params)
+    k = params.kappa_root
+    assert k == params.kappa0 ** (1.0 / (p - 1.0))
+    assert vars(params)["kappa_root"] is k and params.kappa_root is k
+
+
+def test_kappa_root_overflow_raises_on_every_access():
+    # nothing is kept when the power overflows, so no access returns a value
+    params = md.params_new(1.01)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            params.kappa_root
+    assert "kappa_root" not in vars(params)
+
+
 def _nonlin_N_reference(params, x):
     """N(x) = sign(y)|y|^p - |k|^p - p kappa0 x, y = k + x, with every
     constant formed per call in numpy."""
