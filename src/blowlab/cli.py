@@ -112,7 +112,8 @@ def cmd_evolve(args):
         "mu": params.mu, "rate": None, "fit_amplitude": None,
         "growth_rate": None, "xnorm_mu": None,
         "aborted_at": None if abort is None else float(traj.taus[-1]),
-        "T_lin": traj.tuning[0].T if traj.tuning else None,
+        "T_lin": traj.T_lin,
+        "T_pred": traj.T_pred,
         "tuning": [step._asdict() for step in traj.tuning],
         "tuning_stop": traj.tuning_stop,
         "integrator": {"scheme": ev.SCHEME,

@@ -19,11 +19,12 @@ is `_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
 Appl. 26, 2005) in numpy, so that no scipy module is imported.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
-tuning by the secant method from the linear prediction of T, a
+tuning by the secant method from the Duhamel prediction of T, a
 Duhamel-identity residual check against the matrix exponential, and an
 independent physical-space leapfrog solver used for cross-validation.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      StepSizeError)
 from .grid import bary_interp
-from .model import U_map, avg_A, nonlin_N, state_norm
+from .model import U_map, avg_A, nonlin_dN, nonlin_N, state_norm
 from .spectral import riesz_projection
 
 SCHEME = "lawson-rk4"
@@ -47,6 +48,8 @@ _AMPLITUDE_LIMIT = 1.0
 _T_DOMAIN = (0.5 + 1e-9, 1.5 - 1e-9)
 # secant steps per search
 _MAXITER = 20
+# steps of tune_T's linear flow held at once: one unit of tau
+_FLOW_BLOCK = 40
 
 # Higham (2005): the degree-13 Pade approximant of exp is accurate to
 # double precision for 1-norms up to theta_13 (Table 2.3); b holds its
@@ -149,8 +152,9 @@ class Trajectory:
     `step_counts` maps each Lawson step size to the number of steps taken
     at it, in the order first taken, so its first key is the step of the
     first sample.  A run returned by tune_T also carries its search
-    history in `tuning` and the reason its secant search stopped in
-    `tuning_stop`.
+    history in `tuning`, the reason its secant search stopped in
+    `tuning_stop`, and the linear and Duhamel predictions of T it started
+    from in `T_lin` and `T_pred`.
     """
 
     taus: np.ndarray
@@ -161,6 +165,8 @@ class Trajectory:
     step_counts: dict = field(default_factory=dict)
     tuning: tuple = ()
     tuning_stop: object = None
+    T_lin: object = None
+    T_pred: object = None
 
     def xnorm(self, mu):
         """Weighted sup-norm sup_tau exp(mu tau) ||Phi(tau)||."""
@@ -349,35 +355,45 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     The target a(T) is the unstable coefficient of the nonlinear run from
     U(v, T), read at tau_end - 1, or at the abort time for runs that leave
     the smallness regime (their sign is already decided by the dominant
-    mode).  To first order a is linear in T: dU/dT = q k g at T = 1, with
-    q = 2/(p-1), k = kappa_root and l @ g = 1, and the linear flow
-    multiplies a by e^tau.  The linear prediction T_lin is the zero of the
-    unstable coefficient of U(v, T) itself, found by the secant method from
-    T = 1 and its Newton step with slope q k, at no integration.  The
-    secant method then finds the zero of the target from T_lin and its
-    Newton step with slope q k e^tau, tau the time the target was read at.
-    Each T is integrated at most once, and the tuned run is the integrated
-    one with the smallest |a|.
+    mode).  dU/dT = q k g at T = 1, with q = 2/(p-1), k = kappa_root and
+    l @ g = 1.  The linear prediction T_lin is the zero of l @ U(v, T),
+    found by the secant method from T = 1 and its Newton step with slope
+    q k.  By Duhamel's formula a(tau) = e^tau (a(0) + I(tau)), with
+    I(tau) = int_0^tau e^-s l @ (rho N(A phi2(s)), 0) ds.  The Duhamel
+    prediction T_pred is the zero of l @ U(v, T) + I(tau_end - 1), I taken
+    along the linear flow from U(v, T_lin) (_linear_flow_integrals), found
+    by the secant method from T_lin; neither prediction integrates.  The
+    linear flow of g is e^s g and A g2 = 1, so dI/dT = q k J(tau) with
+    J(tau) = int_0^tau l @ (rho N'(A phi2(s)), 0) ds.  The secant method
+    then finds the zero of the target from T_pred and its Newton step with
+    slope e^tau (a0' + q k J(tau)), tau the time the target was read at and
+    a0' the slope of l @ U(v, T) between T_lin and T_pred (q k if they
+    are equal).  Each T is integrated at most once, and the tuned run is
+    the integrated one with the smallest |a|.
 
-    Returns (T_star, trajectory of the tuned run).  The trajectory's
-    `tuning` holds one TuneStep per integration, in order; the first is at
-    T_lin.  Its `tuning_stop` says why the search for T_star stopped:
-    "zero" (a vanished), "sub_ulp" (the Newton step from T_lin is below
-    half an ulp of T, so T_lin is already the best float) or "repeat" (the
-    next iterate was already integrated).  Raises DomainError unless
-    tau_end - 1 >= 0.1, the first sample after tau = 0, and
-    NoSignChangeError when a secant iterate leaves (1/2, 3/2) or the
-    target stalls.
+    Returns (T_star, trajectory of the tuned run).  The trajectory carries
+    T_lin and T_pred, and its `tuning` holds one TuneStep per integration,
+    in order; the first is at T_pred.  Its `tuning_stop` says why the
+    search for T_star stopped: "zero" (a vanished), "sub_ulp" (the Newton
+    step from T_pred is below half an ulp of T, so T_pred is already the
+    best float) or "repeat" (the next iterate was already integrated).
+    Raises DomainError unless tau_end is finite and tau_end - 1 >= 0.1,
+    the first sample after tau = 0, and NoSignChangeError when a secant
+    iterate leaves (1/2, 3/2) or the target stalls.
     """
     tau_probe = tau_end - 1.0
-    if not tau_probe >= _SAMPLE_DTAU:
+    if not _SAMPLE_DTAU <= tau_probe < math.inf:
         raise DomainError(
             f"tau_end={tau_end} out of range: tune_T reads its target at "
-            f"tau_end - 1, which must be >= {_SAMPLE_DTAU}")
+            f"tau_end - 1, which must be finite and >= {_SAMPLE_DTAU}")
     slope = 2.0 / (params.p - 1.0) * params.kappa_root
 
+    @functools.cache
+    def initial(T):
+        return U_map(v, T, params, grid)
+
     def predicted(T):
-        return unstable_coefficient(U_map(v, T, params, grid), projection)
+        return unstable_coefficient(initial(T), projection)
 
     runs = {}      # T -> (TuneStep, trajectory, AmplitudeAbort or None)
 
@@ -385,8 +401,8 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
         if T not in runs:
             start = time.perf_counter()
             try:
-                traj = integrate(U_map(v, T, params, grid), tau_end, ops,
-                                 grid, params, nonlinear=True, dtau=dtau,
+                traj = integrate(initial(T), tau_end, ops, grid, params,
+                                 nonlinear=True, dtau=dtau,
                                  projection=projection)
             except AmplitudeAbort as exc:
                 traj, abort = exc.trajectory, exc
@@ -401,17 +417,70 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
         return runs[T][0].a
 
     T_lin, _ = _secant(predicted, 1.0, 1.0 - predicted(1.0) / slope)
-    a_lin = target(T_lin)
-    abort_tau = runs[T_lin][0].abort_tau
+    taus, I, J = _linear_flow_integrals(initial(T_lin), tau_end, ops, grid,
+                                        params, projection)
+    I_probe = float(np.interp(tau_probe, taus, I))
+    T_pred, _ = _secant(lambda T: predicted(T) + I_probe, T_lin,
+                        T_lin - (predicted(T_lin) + I_probe) / slope)
+    if T_pred == T_lin:
+        a0_slope = slope
+    else:
+        a0_slope = (predicted(T_pred) - predicted(T_lin)) / (T_pred - T_lin)
+    a_pred = target(T_pred)
+    abort_tau = runs[T_pred][0].abort_tau
     tau_read = tau_probe if abort_tau is None else abort_tau
-    T_star, stop = _secant(target, T_lin,
-                           T_lin - a_lin / (slope * math.exp(tau_read)))
+    J_read = float(np.interp(tau_read, taus, J))
+    a_slope = math.exp(tau_read) * (a0_slope + slope * J_read)
+    T_star, stop = _secant(target, T_pred, T_pred - a_pred / a_slope)
     _, traj, abort = runs[T_star]
     if abort is not None:
         raise abort
     traj.tuning = tuple(step for step, _, _ in runs.values())
     traj.tuning_stop = stop
+    traj.T_lin, traj.T_pred = T_lin, T_pred
     return T_star, traj
+
+
+def _linear_flow_integrals(u, tau_end, ops, grid, params, projection):
+    """The Duhamel integrals of tune_T along the linear flow from the
+    stacked state u: (taus, I, J) at every 0.025 up to the last 0.1 sample
+    before tau_end, with I(tau) = int_0^tau e^-s l @ (rho N, 0) ds and
+    J(tau) = int_0^tau l @ (rho N', 0) ds at N = N(A phi2(s)), by the
+    cumulative trapezoid rule.
+
+    The flow is held _FLOW_BLOCK steps at a time, so its states take
+    _FLOW_BLOCK x 2n floats whatever tau_end is.
+    """
+    E = _step_matrices(ops, grid, _SUBSTEPS)[0]
+    h = _SAMPLE_DTAU / _SUBSTEPS
+    nsteps = _SUBSTEPS * int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
+    n_vals = np.empty(nsteps + 1)
+    dn_vals = np.empty(nsteps + 1)
+    block = np.empty((_FLOW_BLOCK, u.size))
+    u = np.array(u, dtype=float)
+    u[0] = 0.0
+    for start in range(0, nsteps + 1, _FLOW_BLOCK):
+        rows = block[:nsteps + 1 - start]
+        for row in rows:
+            row[:] = u
+            u = E @ u
+        stop = start + len(rows)
+        n_vals[start:stop] = _projected_term(nonlin_N, rows, grid, params,
+                                             projection)
+        dn_vals[start:stop] = _projected_term(nonlin_dN, rows, grid, params,
+                                              projection)
+    taus = h * np.arange(nsteps + 1)
+    n_vals *= np.exp(-taus)
+    return (taus, _cumulative_trapezoid(n_vals, h),
+            _cumulative_trapezoid(dn_vals, h))
+
+
+def _cumulative_trapezoid(values, h):
+    """Trapezoid integrals of equally spaced values from the first one to
+    each, starting at 0."""
+    out = np.zeros_like(values)
+    np.cumsum(0.5 * h * (values[1:] + values[:-1]), out=out[1:])
+    return out
 
 
 def _secant(f, x0, x1):
@@ -491,6 +560,16 @@ def duhamel_residual(traj, ops, grid, params):
     return worst
 
 
+def _projected_term(term, states, grid, params, projection):
+    """l @ (rho term(A phi2), 0) for each row (phi1, phi2) of `states`,
+    term nonlin_N or nonlin_dN and l the projection functional: one term
+    call on the stacked reads, row 0 zeroed by rho(0) = 0 as in
+    nonlinear_term."""
+    n = grid.n
+    reads = avg_A(grid, states[:, n:].T)
+    return (projection.functional[:n] * grid.nodes) @ term(params, reads)
+
+
 def correction_residual(traj, grid, params, projection):
     """Discrete zero-correction identity of a tuned run.
 
@@ -501,10 +580,8 @@ def correction_residual(traj, grid, params, projection):
     with the integral truncated at the last sample (trapezoid rule).
     """
     taus = traj.taus
-    vals = np.empty(taus.size)
-    for j, u in enumerate(traj.states):
-        nl = nonlinear_term(grid, params, u)
-        vals[j] = np.exp(-taus[j]) * (projection.functional @ nl)
+    vals = np.exp(-taus) * _projected_term(nonlin_N, traj.states, grid,
+                                          params, projection)
     integral = float(np.trapezoid(vals, taus))
     return abs(traj.unstable_coeffs[0] + integral)
 

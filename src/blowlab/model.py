@@ -133,6 +133,18 @@ def nonlin_N(params, x):
     return out if out.ndim else float(out)
 
 
+def nonlin_dN(params, x):
+    """N'(x) = p |k + x|^(p-1) - p kappa0, the derivative of exactly what
+    nonlin_N computes, for y = k + x of either sign; N'(0) = 0 to
+    rounding."""
+    p = params.p
+    x = np.asarray(x, dtype=float)
+    out = np.abs(params.kappa_root + x) ** (p - 1.0)
+    out *= p * _SIGN_HOOK
+    out -= p * params.kappa0
+    return out if out.ndim else float(out)
+
+
 def avg_A(grid, u):
     """Running average (Au)(rho) = rho^-1 int_0^rho u, with Au(0) = u(0);
     a 2-D u is a stack of columns, each averaged."""

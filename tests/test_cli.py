@@ -147,7 +147,9 @@ def test_evolve_tuned_summary(tmp_path):
     assert summary["rate"] is not None and summary["rate"] >= 0.35
     tuning = summary["tuning"]
     assert 2 <= len(tuning) <= 3
-    assert tuning[0]["T"] == summary["T_lin"]
+    # the search starts at the Duhamel prediction, not at T_lin
+    assert tuning[0]["T"] == summary["T_pred"]
+    assert summary["T_lin"] != summary["T_pred"]
     # the search returns the integrated run with the smallest |a|, which
     # need not be the last one integrated
     assert summary["T_star"] in [step["T"] for step in tuning]

@@ -409,11 +409,139 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
     # the search integrates each T once, from U(v, T), and records every
     # integration
     Ts = [step.T for step in traj.tuning]
-    assert len(calls) <= 4
+    assert len(calls) <= 3
     assert len(Ts) == len(calls) == len(set(Ts))
     for T, init in zip(Ts, calls):
         assert np.array_equal(init, md.U_map(v, T, params, grid))
     assert t_star in Ts
+
+
+# T* at n = 48, amplitude 1e-3, tau_end 8 and data seeds 0-9, as the search
+# from T_lin found them
+_T_STAR = {
+    1.5: (0.9999998285943468, 1.0000003366660255, 1.0000008464739982,
+          1.000000258745074, 0.9999996251933094, 1.0000000072317237,
+          1.0000001131043925, 1.000000247498248, 1.0000003253685723,
+          0.9999999368127584),
+    2.0: (0.9999638639782599, 1.0000325007164774, 1.0001200885645618,
+          1.000045747653673, 0.9999401647550519, 1.0000230288300034,
+          1.000007657482279, 1.0000306507005507, 1.0000810958473423,
+          1.000007497348632),
+    3.0: (0.9995551115007707, 1.0001080711029544, 1.0010818297706912,
+          1.000495495697995, 0.9994352555509548, 1.000481236129608,
+          0.9998919795028868, 1.0002402265566586, 1.0012054575878853,
+          1.0002506505102922),
+}
+
+
+def _seeded_v(params, seed, amplitude=1e-3):
+    fg = md.random_polynomial_data(cached_grid(48, 1.5),
+                                   np.random.default_rng(seed), params,
+                                   amplitude=amplitude)
+    return md.data_to_v(fg, params)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_tune_T_star_per_seed(monkeypatch, p):
+    # starting at T_pred leaves every T* as it was, in two or three
+    # integrations (the search from T_lin took 20, 31 and 41 over the ten
+    # seeds at p = 1.5, 2 and 3)
+    params, grid, ops, proj = _setup(p)
+    calls = _count_integrations(monkeypatch)
+    counts = []
+    for seed, expected in enumerate(_T_STAR[p]):
+        start = len(calls)
+        t_star, traj = ev.tune_T(_seeded_v(params, seed), params, 8.0, grid,
+                                 ops, projection=proj)
+        assert t_star == expected
+        assert traj.tuning[0].T == traj.T_pred
+        counts.append(len(calls) - start)
+    assert max(counts) <= 3
+    assert sum(counts) <= 25
+
+
+def test_tune_T_starts_at_the_duhamel_prediction():
+    # the Duhamel correction brings the first run's coefficient 1e4 times
+    # closer to zero than the linear prediction's (2.2e-9 against 3.7e-5)
+    params, grid, ops, proj = _setup()
+    v = _seeded_v(params, 0)
+    _, traj = ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
+    assert traj.T_pred != traj.T_lin
+    lin = ev.integrate(md.U_map(v, traj.T_lin, params, grid), 8.0, ops,
+                       grid, params, projection=proj)
+    a_lin = lin.unstable_coeffs[int(np.argmin(np.abs(lin.taus - 7.0)))]
+    assert abs(traj.tuning[0].a) <= 1e-2 * abs(a_lin)
+
+
+def test_tune_T_large_data_takes_no_more_integrations(monkeypatch):
+    # amplitude 3e-2 at p = 3: the integrations per seed 0-9 of the search
+    # from T_lin
+    params, grid, ops, proj = _setup()
+    before = (6, 8, 6, 5, 5, 9, 8, 6, 10, 8)
+    calls = _count_integrations(monkeypatch)
+    for seed, bound in enumerate(before):
+        start = len(calls)
+        ev.tune_T(_seeded_v(params, seed, 3e-2), params, 8.0, grid, ops,
+                  projection=proj)
+        assert len(calls) - start <= bound
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_duhamel_slope_is_the_derivative_of_the_integral(p):
+    # dI/dT = q k J: the symmetry mode g flows as e^s g and A g2 = 1
+    params, grid, ops, proj = _setup(p)
+    v = _seeded_v(params, 0)
+    T = ev.tune_T(v, params, 8.0, grid, ops, projection=proj)[1].T_lin
+    dT = 1e-7
+
+    def integrals(T):
+        return ev._linear_flow_integrals(md.U_map(v, T, params, grid), 8.0,
+                                         ops, grid, params, proj)
+
+    taus, _, J = integrals(T)
+    I_plus, I_minus = integrals(T + dT)[1], integrals(T - dT)[1]
+    qk = 2.0 / (p - 1.0) * params.kappa_root
+    for tau in (1.0, 3.0):
+        j = int(np.argmin(np.abs(taus - tau)))
+        fd = (I_plus[j] - I_minus[j]) / (2.0 * dT)
+        assert fd == pytest.approx(qk * J[j], rel=2e-3)
+
+
+@pytest.mark.parametrize("tau_end", [math.inf, math.nan, 1.05])
+def test_tune_T_checks_tau_end_first(monkeypatch, tau_end):
+    params, grid, ops, proj = _setup()
+    zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48),
+                       grid=cached_grid(48, 1.5))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("tune_T worked before checking tau_end")
+
+    monkeypatch.setattr(ev, "U_map", no_work)
+    with pytest.raises(DomainError):
+        ev.tune_T(zero, params, tau_end, grid, ops, projection=proj)
+
+
+def test_projected_term_is_the_per_sample_projection(monkeypatch):
+    # one nonlin_N call on the stacked reads gives l @ nonlinear_term(u)
+    # for every sample to rounding; N cancels k^p = 2.8 down to about
+    # 3 sqrt(2) x^2 here, so its rounding reads 1.4e-13 of the result
+    params, grid, ops, proj = _setup()
+    u = md.random_polynomial_state(grid, np.random.default_rng(3),
+                                   amplitude=1e-2)
+    states = ev.integrate(u, 2.0, ops, grid, params, projection=proj).states
+    expected = [proj.functional @ ev.nonlinear_term(grid, params, s)
+                for s in states]
+    calls = []
+    original = ev.nonlin_N
+
+    def counting(params, x):
+        calls.append(np.shape(x))
+        return original(params, x)
+
+    monkeypatch.setattr(ev, "nonlin_N", counting)
+    got = ev._projected_term(ev.nonlin_N, states, grid, params, proj)
+    assert calls == [(48, len(states))]
+    assert np.allclose(got, expected, rtol=1e-11, atol=0.0)
 
 
 def test_tune_T_builds_step_matrices_once(monkeypatch):

@@ -90,6 +90,25 @@ def test_nonlin_N_values():
                        3.0 * math.sqrt(2.0) * xs**2 + xs**3, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0])
+def test_nonlin_dN_matches_central_differences(p):
+    # on y = k + x > 0 and on the y < 0 branch (x = -1.5 k, -3 k); the
+    # difference step 1e-5 k leaves about 4e-11 of p kappa0
+    params = cached_params(p)
+    k = params.kappa_root
+    xs = np.concatenate([np.linspace(-0.5, 0.5, 21) * k, [-1.5 * k, -3 * k]])
+    h = 1e-5 * k
+    fd = (md.nonlin_N(params, xs + h) - md.nonlin_N(params, xs - h)) / (2 * h)
+    scale = p * params.kappa0
+    assert np.abs(md.nonlin_dN(params, xs) - fd).max() <= 1e-9 * scale
+    # N' is even about y = 0: p |y|^(p-1) - p kappa0
+    assert md.nonlin_dN(params, -3 * k) == pytest.approx(
+        scale * (2.0 ** (p - 1.0) - 1.0), rel=1e-14)
+    zero = md.nonlin_dN(params, 0.0)
+    assert type(zero) is float
+    assert abs(zero) <= 4 * np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize("p", [1.02, 1.1, 1.5, 2.0, 3.0])
 def test_kappa_root_is_computed_once(p):
     # the value is the float power, formed on first access and then kept
