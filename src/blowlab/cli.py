@@ -36,7 +36,7 @@ def _summary_path(out):
 
 
 def cmd_spectrum(args):
-    params = md.params_new(args.p, eps=args.eps)
+    params = md.params_new(args.p)
     coarse = build_grid(args.n)
     fine = build_grid(int(math.ceil(1.5 * args.n)))
     ops = sp.assemble_L(coarse, params)
@@ -166,7 +166,7 @@ def cmd_evolve(args):
 
 
 def cmd_energy(args):
-    params = md.params_new(args.p, T=args.T, eps=args.eps)
+    params = md.params_new(args.p, T=args.T)
     ts, vals, slope = md.energy_blowup(params, args.n)
     theory = -(5.0 - args.p) / (2.0 * (args.p - 1.0))
     out = args.out or "energy.csv"
@@ -217,10 +217,13 @@ def build_parser():
         sp_.add_argument("--p", type=float, default=3.0,
                          help="nonlinearity exponent in (1, 3]")
         sp_.add_argument("--n", type=int, default=96, help="grid size")
+        sp_.add_argument("--out", type=str, default="")
+
+    def seeded(sp_):
+        common(sp_)
         sp_.add_argument("--eps", type=float, default=0.1,
                          help="rate loss epsilon")
         sp_.add_argument("--seed", type=int, default=0)
-        sp_.add_argument("--out", type=str, default="")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue report (JSON)")
     common(p_spec)
@@ -229,7 +232,7 @@ def build_parser():
                              "(default: omega_tilde + 0.1)")
 
     p_ev = sub.add_parser("evolve", help="similarity-coordinate evolution")
-    common(p_ev)
+    seeded(p_ev)
     p_ev.add_argument("--tau-end", type=float, default=10.0)
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
@@ -254,7 +257,7 @@ def build_parser():
     p_en.add_argument("--T", type=float, default=1.0)
 
     p_val = sub.add_parser("validate", help="run every invariant suite")
-    common(p_val)
+    seeded(p_val)
     return parser
 
 
@@ -264,7 +267,8 @@ def main(argv=None):
     handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
                "energy": cmd_energy, "validate": cmd_validate}[args.command]
     try:
-        if args.seed < 0:
+        # spectrum and energy take no seed
+        if getattr(args, "seed", 0) < 0:
             raise DomainError(f"seed={args.seed} out of range: need seed >= 0")
         return handler(args)
     except DomainError as exc:

@@ -121,14 +121,17 @@ def _sample_steps(norm, norm0):
     return _SUBSTEPS
 
 
-def nonlinear_term(grid, params, u):
+def nonlinear_term(grid, params, u, term=None):
     """The nonlinear part (rho N(A phi2), 0) of the right-hand side at the
-    stacked state u = (phi1, phi2), with row 0 zeroed like the boundary row
-    of L."""
+    stacked state u = (phi1, phi2), or at each row of a stack of them in
+    one term call, with row 0 zeroed like the boundary row of L.  `term`
+    (nonlin_dN for N') replaces N; nonlin_N is looked up when called,
+    where tracing and fault injection replace it."""
     n = grid.n
-    out = np.zeros(2 * n)
-    out[:n] = grid.nodes * nonlin_N(params, avg_A(grid, u[n:]))
-    out[0] = 0.0
+    term = nonlin_N if term is None else term
+    out = np.zeros(u.shape)
+    out[..., :n] = grid.nodes * term(params, avg_A(grid, u[..., n:].T)).T
+    out[..., 0] = 0.0
     return out
 
 
@@ -252,8 +255,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
             steps = max(nsub, _sample_steps(norms[-1], norms[0]))
             if steps != m:
                 m, h = steps, _SAMPLE_DTAU / steps
-                E, reads, stage_reads, combine, last = _step_matrices(
-                    ops, grid, m)
+                E, reads, stage_reads, combine, last = _step_matrices(ops, m)
             for _ in range(m):
                 if nonlinear:
                     r = reads @ u
@@ -283,7 +285,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     return partial_trajectory()
 
 
-def _step_matrices(ops, grid, steps):
+def _step_matrices(ops, steps):
     """(E, reads, stage_reads, combine, last), the matrices a Lawson step
     of length h = 0.1/steps reads (see integrate), built once per operator
     and step and kept in ops.steps under h.
@@ -294,18 +296,18 @@ def _step_matrices(ops, grid, steps):
     """
     h = _SAMPLE_DTAU / steps
     if h not in ops.steps:
-        n = grid.n
-        rho = grid.nodes    # rho[0] = 0 zeroes the boundary row of N
+        n = ops.grid.n
+        rho = ops.grid.nodes    # rho[0] = 0 zeroes the boundary row of N
         if steps in (1, 2):
-            E2 = _step_matrices(ops, grid, 2 * steps)[0]
+            E2 = _step_matrices(ops, 2 * steps)[0]
         else:
             E2 = _expm(0.5 * h * ops.L)
         E = E2 @ E2
         # R u, R E2 u, R E u and E u, R the read u -> A phi2
-        reads = np.vstack([avg_A(grid, M[n:])
+        reads = np.vstack([avg_A(ops.grid, M[n:])
                            for M in (np.eye(2 * n), E2, E)] + [E])
         # x -> R E2 (rho x, 0), scaled by h/2 for N1 and by h for N3
-        stage_read = avg_A(grid, E2[n:, :n]) * rho
+        stage_read = avg_A(ops.grid, E2[n:, :n]) * rho
         stage_reads = np.stack([(0.5 * h) * stage_read, h * stage_read])
         # (x, y) -> E (h/6 rho x, 0) + E2 (h/3 rho y, 0)
         combine = np.hstack([(h / 6.0) * E[:, :n] * rho,
@@ -417,8 +419,8 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
         return runs[T][0].a
 
     T_lin, _ = _secant(predicted, 1.0, 1.0 - predicted(1.0) / slope)
-    taus, I, J = _linear_flow_integrals(initial(T_lin), tau_end, ops, grid,
-                                        params, projection)
+    taus, I, J = _linear_flow_integrals(initial(T_lin), tau_end, ops,
+                                        projection)
     I_probe = float(np.interp(tau_probe, taus, I))
     T_pred, _ = _secant(lambda T: predicted(T) + I_probe, T_lin,
                         T_lin - (predicted(T_lin) + I_probe) / slope)
@@ -441,7 +443,7 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     return T_star, traj
 
 
-def _linear_flow_integrals(u, tau_end, ops, grid, params, projection):
+def _linear_flow_integrals(u, tau_end, ops, projection):
     """The Duhamel integrals of tune_T along the linear flow from the
     stacked state u: (taus, I, J) at every 0.025 up to the last 0.1 sample
     before tau_end, with I(tau) = int_0^tau e^-s l @ (rho N, 0) ds and
@@ -451,7 +453,7 @@ def _linear_flow_integrals(u, tau_end, ops, grid, params, projection):
     The flow is held _FLOW_BLOCK steps at a time, so its states take
     _FLOW_BLOCK x 2n floats whatever tau_end is.
     """
-    E = _step_matrices(ops, grid, _SUBSTEPS)[0]
+    E = _step_matrices(ops, _SUBSTEPS)[0]
     h = _SAMPLE_DTAU / _SUBSTEPS
     nsteps = _SUBSTEPS * int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
     n_vals = np.empty(nsteps + 1)
@@ -465,10 +467,10 @@ def _linear_flow_integrals(u, tau_end, ops, grid, params, projection):
             row[:] = u
             u = E @ u
         stop = start + len(rows)
-        n_vals[start:stop] = _projected_term(nonlin_N, rows, grid, params,
-                                             projection)
-        dn_vals[start:stop] = _projected_term(nonlin_dN, rows, grid, params,
-                                              projection)
+        n_vals[start:stop] = nonlinear_term(
+            ops.grid, ops.params, rows) @ projection.functional
+        dn_vals[start:stop] = nonlinear_term(
+            ops.grid, ops.params, rows, nonlin_dN) @ projection.functional
     taus = h * np.arange(nsteps + 1)
     n_vals *= np.exp(-taus)
     return (taus, _cumulative_trapezoid(n_vals, h),
@@ -525,7 +527,7 @@ def _secant(f, x0, x1):
     return min(values, key=lambda x: abs(values[x])), stop
 
 
-def duhamel_residual(traj, ops, grid, params):
+def duhamel_residual(traj, ops):
     """Max defect of Phi(tau) = e^{tau L} Phi(0) + int_0^tau e^{(tau-s)L} N(Phi(s)) ds
     over the stored samples with tau <= 3.
 
@@ -545,8 +547,8 @@ def duhamel_residual(traj, ops, grid, params):
     ds = float(spacing[0])
     E = _expm(ds * ops.L)
     kmax = int(min(taus.size - 1, math.floor(3.0 / ds + 1e-9)))
-    nl = [nonlinear_term(grid, params, u) if traj.nonlinear
-          else np.zeros(2 * grid.n) for u in traj.states[:kmax + 1]]
+    nl = (nonlinear_term(ops.grid, ops.params, traj.states[:kmax + 1])
+          if traj.nonlinear else np.zeros_like(traj.states))
     # acc = E^k u0 + ds (E^k nl_0 / 2 + sum_{0<j<k} E^(k-j) nl_j), advanced
     # by one matvec per sample; the trapezoid's last half weight is added
     # in the defect
@@ -556,18 +558,8 @@ def duhamel_residual(traj, ops, grid, params):
         weight = 0.5 if k == 1 else 1.0
         acc = E @ (acc + weight * ds * nl[k - 1])
         defect = traj.states[k] - acc - 0.5 * ds * nl[k]
-        worst = max(worst, state_norm(grid, defect))
+        worst = max(worst, state_norm(ops.grid, defect))
     return worst
-
-
-def _projected_term(term, states, grid, params, projection):
-    """l @ (rho term(A phi2), 0) for each row (phi1, phi2) of `states`,
-    term nonlin_N or nonlin_dN and l the projection functional: one term
-    call on the stacked reads, row 0 zeroed by rho(0) = 0 as in
-    nonlinear_term."""
-    n = grid.n
-    reads = avg_A(grid, states[:, n:].T)
-    return (projection.functional[:n] * grid.nodes) @ term(params, reads)
 
 
 def correction_residual(traj, grid, params, projection):
@@ -580,8 +572,8 @@ def correction_residual(traj, grid, params, projection):
     with the integral truncated at the last sample (trapezoid rule).
     """
     taus = traj.taus
-    vals = np.exp(-taus) * _projected_term(nonlin_N, traj.states, grid,
-                                          params, projection)
+    vals = np.exp(-taus) * (nonlinear_term(grid, params, traj.states)
+                            @ projection.functional)
     integral = float(np.trapezoid(vals, taus))
     return abs(traj.unstable_coeffs[0] + integral)
 
@@ -650,10 +642,8 @@ def physical_oracle(fg, params, t_end, nr=4096):
     for _ in range(steps):
         w_next = np.empty_like(w_cur)
         w_next[1:valid] = (2.0 * w_cur[1:valid] - w_prev[1:valid]
-                           + dt**2 * ((w_cur[2:valid + 1]
-                                       - 2.0 * w_cur[1:valid]
-                                       + w_cur[:valid - 1]) / dr**2
-                                      + source(w_cur)[1:valid]))
+                           + dt**2 * (second_diff(w_cur)
+                                      + source(w_cur))[1:valid])
         w_next[0] = 0.0
         w_next[valid:] = w_cur[valid:]
         w_old, w_prev, w_cur = w_prev, w_cur, w_next

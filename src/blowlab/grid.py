@@ -133,7 +133,7 @@ def bary_interp(grid, values, targets):
         raise DomainError(
             f"interpolation target outside [0, {grid.length}]")
     diff = targets[:, None] - grid.nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-300)
+    exact = np.abs(diff) <= 1e-300
     diff[exact] = 1.0
     weights = grid.bary[None, :] / diff
     out = (weights @ values) / weights.sum(axis=1)

@@ -21,7 +21,7 @@ only the half-plane Re(lam) > omega_tilde + 0.1 is reported.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,16 +179,7 @@ class SpectrumReport:
         return [complex(d["re"], d["im"]) for d in self.discrete if d["stable"]]
 
     def to_json(self):
-        return json.dumps({
-            "p": self.p,
-            "n_coarse": self.n_coarse,
-            "n_fine": self.n_fine,
-            "analytic": self.analytic,
-            "discrete": self.discrete,
-            "projection_rank": self.projection_rank,
-            "projection_defect": self.projection_defect,
-            "timings": self.timings,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _eigvals(matrix):

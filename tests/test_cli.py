@@ -38,11 +38,14 @@ def test_spectrum_json_records_phase_timings(tmp_path):
 
 
 def test_spectrum_halfplane_p2(tmp_path):
+    # the default window, omega_tilde + 0.1 = -1.4, holds -1 and 1; a
+    # half-plane above -0.5 holds 1 alone
     out = tmp_path / "s2.json"
-    assert run(["spectrum", "--p", "2", "--n", "64", "--halfplane", "-1.4",
+    assert run(["spectrum", "--p", "2", "--n", "64", "--halfplane", "-0.5",
                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["analytic"] == [-1.0, 1.0]
+    assert doc["analytic"] == [1.0]
+    assert len(doc["discrete"]) == 1
 
 
 def test_spectrum_rejects_bad_exponent(tmp_path, capsys):
@@ -90,6 +93,15 @@ def test_exponent_near_one(tmp_path, capsys, command, code):
 def test_bad_numeric_input(tmp_path, capsys, args):
     assert run(args + ["--n", "32", "--out", str(tmp_path / "x.out")]) == 2
     assert capsys.readouterr().err.startswith("error: domain:")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "energy"])
+def test_spectrum_and_energy_take_no_seed_or_eps(capsys, command):
+    for option in ("--seed", "--eps"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("out, summary", [

@@ -496,7 +496,7 @@ def test_duhamel_slope_is_the_derivative_of_the_integral(p):
 
     def integrals(T):
         return ev._linear_flow_integrals(md.U_map(v, T, params, grid), 8.0,
-                                         ops, grid, params, proj)
+                                         ops, proj)
 
     taus, _, J = integrals(T)
     I_plus, I_minus = integrals(T + dT)[1], integrals(T - dT)[1]
@@ -521,16 +521,22 @@ def test_tune_T_checks_tau_end_first(monkeypatch, tau_end):
         ev.tune_T(zero, params, tau_end, grid, ops, projection=proj)
 
 
-def test_projected_term_is_the_per_sample_projection(monkeypatch):
-    # one nonlin_N call on the stacked reads gives l @ nonlinear_term(u)
-    # for every sample to rounding; N cancels k^p = 2.8 down to about
-    # 3 sqrt(2) x^2 here, so its rounding reads 1.4e-13 of the result
+def test_nonlinear_term_of_a_stack_is_the_per_row_term(monkeypatch):
+    # one nonlin_N call on the stacked reads gives nonlinear_term(u) for
+    # every sample to rounding, and so does nonlin_dN; N and N' cancel
+    # k^p = 2.8 and p k^(p-1) = 6, so their rounding is absolute, a few
+    # ulp of numbers below 8
     params, grid, ops, proj = _setup()
     u = md.random_polynomial_state(grid, np.random.default_rng(3),
                                    amplitude=1e-2)
     states = ev.integrate(u, 2.0, ops, grid, params, projection=proj).states
-    expected = [proj.functional @ ev.nonlinear_term(grid, params, s)
-                for s in states]
+    for term in (md.nonlin_N, md.nonlin_dN):
+        got = ev.nonlinear_term(grid, params, states, term)
+        assert got.shape == states.shape
+        assert not got[:, 0].any() and not got[:, grid.n:].any()
+        for row, s in zip(got, states):
+            want = ev.nonlinear_term(grid, params, s, term)
+            assert np.abs(row - want).max() <= 16 * np.finfo(float).eps
     calls = []
     original = ev.nonlin_N
 
@@ -538,10 +544,10 @@ def test_projected_term_is_the_per_sample_projection(monkeypatch):
         calls.append(np.shape(x))
         return original(params, x)
 
+    # the default term is looked up through blowlab.evolve at each call
     monkeypatch.setattr(ev, "nonlin_N", counting)
-    got = ev._projected_term(ev.nonlin_N, states, grid, params, proj)
+    ev.nonlinear_term(grid, params, states)
     assert calls == [(48, len(states))]
-    assert np.allclose(got, expected, rtol=1e-11, atol=0.0)
 
 
 def test_tune_T_builds_step_matrices_once(monkeypatch):
@@ -727,12 +733,12 @@ def test_duhamel_residual_zero_and_linear():
     proj = cached_projection(3.0, 64)
     trz = ev.integrate(np.zeros(128), 3.0, ops, grid, params, nonlinear=True,
                        dtau=1e-3, projection=proj)
-    assert ev.duhamel_residual(trz, ops, grid, params) <= 1e-14
+    assert ev.duhamel_residual(trz, ops) <= 1e-14
     rng = np.random.default_rng(11)
     u = md.random_polynomial_state(grid, rng, amplitude=1e-3)
     trl = ev.integrate(u, 3.0, ops, grid, params, nonlinear=False,
                        dtau=1e-3, projection=proj)
-    assert ev.duhamel_residual(trl, ops, grid, params) <= 1e-6
+    assert ev.duhamel_residual(trl, ops) <= 1e-6
 
 
 def test_duhamel_residual_nonlinear_small():
@@ -744,7 +750,7 @@ def test_duhamel_residual_nonlinear_small():
     u = md.random_polynomial_state(grid, rng, amplitude=1e-3)
     tr = ev.integrate(u, 3.0, ops, grid, params, nonlinear=True,
                       dtau=1e-3, projection=proj)
-    assert ev.duhamel_residual(tr, ops, grid, params) <= 1e-4
+    assert ev.duhamel_residual(tr, ops) <= 1e-4
     # the residual is the trapezoid-quadrature floor of the identity, not
     # the stepping error: a step eight times finer than the default's
     # finest, 0.025, leaves it unchanged
@@ -752,7 +758,7 @@ def test_duhamel_residual_nonlinear_small():
     u2 = md.random_polynomial_state(grid, rng, amplitude=1e-4)
     r_default, r_fine = (ev.duhamel_residual(
         ev.integrate(u2, 3.0, ops, grid, params, nonlinear=True,
-                     dtau=dt, projection=proj), ops, grid, params)
+                     dtau=dt, projection=proj), ops)
         for dt in (None, 0.025 / 8.0))
     assert abs(r_default - r_fine) <= 0.01 * r_fine
 

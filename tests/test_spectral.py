@@ -36,6 +36,22 @@ def test_build_grid_size_error():
         build_grid(8)
 
 
+def test_bary_interp_is_exact_at_nodes():
+    # a target on a node, 0 among them, returns the nodal value itself;
+    # off the nodes it reproduces a polynomial of degree below n
+    g = cached_grid(48, 1.5)
+    values = np.cos(7.0 * g.nodes)
+    got = gr.bary_interp(g, values, np.append(g.nodes, 0.0))
+    assert np.array_equal(got, np.append(values, values[0]))
+
+    def poly(r):
+        return 1.0 - 2.0 * r + 0.5 * r**5
+
+    off = np.array([1e-9, 0.3, 0.7071, 1.49])
+    assert np.abs(gr.bary_interp(g, poly(g.nodes), off)
+                  - poly(off)).max() <= 1e-12
+
+
 # The loop constructions the grid and the generator were first written
 # with (Trefethen, Spectral Methods in MATLAB, cheb and clencurt): the
 # vectorised ones must reproduce them bit for bit.
