@@ -32,11 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import model
 from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      StepSizeError)
 from .grid import bary_interp
-from .model import U_map, avg_A, nonlin_dN, nonlin_N, state_norm
+from .model import avg_A, nonlin_dN, nonlin_N, state_norm
 from .spectral import riesz_projection
 
 SCHEME = "lawson-rk4"
@@ -390,9 +391,11 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
             f"tau_end - 1, which must be finite and >= {_SAMPLE_DTAU}")
     slope = 2.0 / (params.p - 1.0) * params.kappa_root
 
+    # U_map is looked up in blowlab.model when called, where tracing and
+    # fault injection replace it
     @functools.cache
     def initial(T):
-        return U_map(v, T, params, grid)
+        return model.U_map(v, T, params, grid)
 
     def predicted(T):
         return unstable_coefficient(initial(T), projection)

@@ -32,7 +32,8 @@ def test_spectrum_json_records_phase_timings(tmp_path):
     out = tmp_path / "s.json"
     assert run(["spectrum", "--p", "2", "--n", "48", "--out", str(out)]) == 0
     timings = json.loads(out.read_text())["timings"]
-    for key in ("operators_s", "eigenvalues_s", "projection_s"):
+    for key in ("operators_s", "eigenvalues_s", "refinement_s",
+                "projection_s"):
         assert isinstance(timings[key], float)
         assert math.isfinite(timings[key]) and timings[key] >= 0.0
 

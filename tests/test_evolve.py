@@ -516,7 +516,7 @@ def test_tune_T_checks_tau_end_first(monkeypatch, tau_end):
     def no_work(*args, **kwargs):
         raise AssertionError("tune_T worked before checking tau_end")
 
-    monkeypatch.setattr(ev, "U_map", no_work)
+    monkeypatch.setattr(md, "U_map", no_work)
     with pytest.raises(DomainError):
         ev.tune_T(zero, params, tau_end, grid, ops, projection=proj)
 
@@ -685,7 +685,7 @@ def test_tune_T_iteration_budget(monkeypatch):
     # only linearly there and runs out of steps
     params, grid, ops, proj = _setup()
     zero = md.DataPair(v1=np.zeros(48), v2=np.zeros(48), grid=grid)
-    monkeypatch.setattr(ev, "U_map",
+    monkeypatch.setattr(md, "U_map",
                         lambda v, T, params, grid: np.full(96, T - 1.0))
 
     def cubic(initial, tau_end, *args, **kwargs):

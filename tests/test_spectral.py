@@ -356,7 +356,100 @@ def test_spectrum_report_json_schema():
     assert set(doc) == {"p", "n_coarse", "n_fine", "analytic", "discrete",
                         "projection_rank", "projection_defect", "timings"}
     assert doc["n_coarse"] == 64 and doc["n_fine"] == 96
-    assert all(set(d) == {"re", "im", "stable"} for d in doc["discrete"])
+    assert all(set(d) == {"re", "im", "stable", "refinement"}
+               for d in doc["discrete"])
+    # the flag reads the recorded distance
+    assert all(d["stable"] == (d["refinement"] < 1e-6)
+               for d in doc["discrete"])
+    assert set(doc["timings"]) == {"operators_s", "eigenvalues_s",
+                                   "refinement_s", "projection_s"}
+
+
+def _dense_flags(report, coarse_L):
+    """The stable flags of a report recomputed from all coarse eigenvalues."""
+    ev_c = np.linalg.eigvals(coarse_L)
+    return [bool(np.abs(ev_c - complex(d["re"], d["im"])).min() < 1e-6)
+            for d in report.discrete]
+
+
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.0 + 1.0 / 2.8, 1.5,
+                               1.0 + 1.0 / 1.8, 1.75, 2.0, 2.25, 2.5, 3.0])
+def test_refinement_flags_match_dense_coarse_oracle(p):
+    # inverse iteration on the coarse operator flags exactly the fine
+    # eigenvalues that a dense solve of it finds a coarse eigenvalue
+    # within 1e-6 of, on every refinement pair
+    params = cached_params(p)
+    for nc, nf in ((16, 24), (32, 48), (64, 96), (96, 144)):
+        ops = sp.assemble_L(cached_grid(nc), params)
+        report = sp.discrete_eigenvalues(ops, (cached_grid(nc),
+                                               cached_grid(nf)))
+        flags = [d["stable"] for d in report.discrete]
+        assert flags == _dense_flags(report, ops.L), (nc, nf)
+        assert any(flags)
+
+
+def test_refinement_flags_match_oracle_on_complex_candidates():
+    # for p >= 1.1 no complex eigenvalue lies above omega_tilde; at p =
+    # 1.05 the 24-point grid has some in the default window and in one
+    # just above omega_tilde, and they take the complex inverse iteration
+    params = cached_params(1.05)
+    ops = sp.assemble_L(cached_grid(16), params)
+    for halfplane in (None, params.omega_tilde + 1e-3):
+        report = sp.discrete_eigenvalues(
+            ops, (cached_grid(16), cached_grid(24)), halfplane=halfplane)
+        assert any(d["im"] != 0.0 for d in report.discrete)
+        assert ([d["stable"] for d in report.discrete]
+                == _dense_flags(report, ops.L))
+
+
+def test_nearest_eigenvalue_on_and_near_coarse_eigenvalues():
+    L = cached_ops(3.0, 16).L
+    # the penalty row makes L + 50 I exactly singular: distance 0, no error
+    assert sp._nearest_eigenvalue(L, np.complex128(-50.0)) == -50.0
+    # 1e-7 from the eigenvalue 1 and from the complex eigenvalue of
+    # largest real part, real and complex shifts find it
+    ev = np.linalg.eigvals(L)
+    cplx = ev[ev.imag != 0.0]
+    for mu in (ev[np.abs(ev - 1.0).argmin()], cplx[cplx.real.argmax()]):
+        for offset in (1e-7, 1e-7j):
+            est = sp._nearest_eigenvalue(L, mu + offset)
+            assert abs(est - mu) <= 1e-12, (mu, offset)
+
+
+def test_one_dense_eigenvalue_solve_per_spectrum(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return np.linalg.eigvals(matrix)
+
+    monkeypatch.setattr(sp, "_eigvals", counting)
+    for p in (1.5, 3.0):
+        sp.discrete_eigenvalues(cached_ops(p, 64),
+                                (cached_grid(64), cached_grid(96)))
+    assert calls == [(192, 192), (192, 192)]
+
+
+def test_refinement_distance_against_extended_precision():
+    # p = 1.02, grids 16/24: the fine eigenvalue near -9 lies 1.2846e-6
+    # from the nearest exact eigenvalue of the coarse matrix (mpmath, 40
+    # digits); inverse iteration reads 1.43e-6 and a dense solve 5.5e-7
+    mpmath = pytest.importorskip("mpmath")
+    params = cached_params(1.02)
+    ops = sp.assemble_L(cached_grid(16), params)
+    report = sp.discrete_eigenvalues(ops, (cached_grid(16), cached_grid(24)))
+    entry = min(report.discrete, key=lambda d: abs(d["re"] + 9.0))
+    lam = entry["re"]
+    with mpmath.workdps(40):
+        shifted = mpmath.matrix(ops.L.tolist()) - lam * mpmath.eye(32)
+        x = mpmath.matrix([1] * 32)
+        for _ in range(4):
+            y = mpmath.lu_solve(shifted, x)
+            c = (y.H * x)[0] / (y.H * y)[0]
+            x = y / mpmath.norm(y)
+        exact = float(abs(c))
+    assert abs(exact - 1.2846e-6) <= 1e-10
+    assert abs(entry["refinement"] - exact) <= 3e-7
 
 
 def test_eigenfunction_lambda_one_proportional_to_rho():
