@@ -12,8 +12,8 @@ from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
                      NoSignChangeError, NonConvergenceError, OverflowAbort,
                      PerturbationTooLarge, SolverError, StepSizeError)
 from .evolve import (OracleSample, Trajectory, TuneStep, decay_fit,
-                     duhamel_residual, integrate, physical_oracle,
-                     stable_dtau, tune_T, unstable_coefficient)
+                     integrate, physical_oracle, stable_dtau, tune_T,
+                     unstable_coefficient)
 from .grid import Grid, bary_interp, build_grid
 from .model import (DataPair, Params, RadialPair, U_map, avg_A, data_to_v,
                     energy_norm, nonlin_N, params_new, psi_T, psi_T_t,

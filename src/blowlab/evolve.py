@@ -19,8 +19,7 @@ is `_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
 Appl. 26, 2005) in numpy, so that no scipy module is imported.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
-tuning by the secant method from the Duhamel prediction of T, a
-Duhamel-identity residual check against the matrix exponential, and an
+tuning by the secant method from the Duhamel prediction of T, and an
 independent physical-space leapfrog solver used for cross-validation.
 """
 
@@ -165,7 +164,6 @@ class Trajectory:
     states: np.ndarray
     norms: np.ndarray
     unstable_coeffs: np.ndarray
-    nonlinear: bool = True
     step_counts: dict = field(default_factory=dict)
     tuning: tuple = ()
     tuning_stop: object = None
@@ -185,9 +183,6 @@ class Trajectory:
 
 def unstable_coefficient(u, projection):
     """Coefficient a with P u = a g: the projection functional l @ u."""
-    if projection.rank != 1:
-        raise DomainError(
-            f"projection rank {projection.rank} out of range: need rank 1")
     return float(projection.functional @ u)
 
 
@@ -244,7 +239,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
         return Trajectory(taus=np.array(taus), states=np.array(states),
                           norms=np.array(norms),
                           unstable_coeffs=np.array(coeffs),
-                          nonlinear=nonlinear, step_counts=dict(counts))
+                          step_counts=dict(counts))
 
     record(0, u)
     n = grid.n
@@ -528,41 +523,6 @@ def _secant(f, x0, x1):
         raise NonConvergenceError(
             f"tune_T: secant search not converged in {_MAXITER} steps")
     return min(values, key=lambda x: abs(values[x])), stop
-
-
-def duhamel_residual(traj, ops):
-    """Max defect of Phi(tau) = e^{tau L} Phi(0) + int_0^tau e^{(tau-s)L} N(Phi(s)) ds
-    over the stored samples with tau <= 3.
-
-    The semigroup is realized by the matrix exponential of the discretized
-    generator at the sample spacing; the Duhamel integral uses trapezoid
-    quadrature over the samples.  For a linear trajectory the integral
-    term is absent and the residual is the raw stepping-versus-matrix-
-    exponential discrepancy.
-    """
-    taus = traj.taus
-    if taus.size < 2:
-        return 0.0
-    spacing = np.diff(taus)
-    if np.abs(spacing - spacing[0]).max() > 1e-9 or spacing[0] > _SAMPLE_DTAU + 1e-12:
-        raise DomainError("duhamel_residual: samples must be uniform with "
-                          "spacing <= 0.1")
-    ds = float(spacing[0])
-    E = _expm(ds * ops.L)
-    kmax = int(min(taus.size - 1, math.floor(3.0 / ds + 1e-9)))
-    nl = (nonlinear_term(ops.grid, ops.params, traj.states[:kmax + 1])
-          if traj.nonlinear else np.zeros_like(traj.states))
-    # acc = E^k u0 + ds (E^k nl_0 / 2 + sum_{0<j<k} E^(k-j) nl_j), advanced
-    # by one matvec per sample; the trapezoid's last half weight is added
-    # in the defect
-    acc = traj.states[0]
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        weight = 0.5 if k == 1 else 1.0
-        acc = E @ (acc + weight * ds * nl[k - 1])
-        defect = traj.states[k] - acc - 0.5 * ds * nl[k]
-        worst = max(worst, state_norm(ops.grid, defect))
-    return worst
 
 
 def correction_residual(traj, grid, params, projection):

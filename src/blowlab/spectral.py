@@ -111,24 +111,19 @@ def analytic_eigenvalues(params, re_min):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Riesz projection P = g l^T onto the symmetry mode, with diagnostics.
+    """Riesz projection P = g l^T onto the symmetry mode, held as l; P is
+    never formed.  With g = symmetry_mode(grid, params), P u = (l @ u) g,
+    so l @ u is the unstable-mode coefficient of a stacked state u.
+    `rank` and `idempotency_defect` = ||P^2 - P||_2 are closed forms in g
+    and l (see riesz_projection)."""
 
-    `functional` is l, the left eigenvector of L at eigenvalue 1 scaled to
-    l^T g = 1, so the unstable-mode coefficient of a stacked state u is
-    l @ u and P u = (l @ u) g.  The diagnostics are closed forms in g and
-    l: P has the one singular value sigma = ||g|| ||l||, so `rank` is 1
-    when sigma > 1e-6, and P^2 - P = (l^T g - 1) P, so
-    `idempotency_defect` = |l^T g - 1| sigma is ||P^2 - P||_2.
-    """
-
-    P: np.ndarray
     idempotency_defect: float
     rank: int
     functional: np.ndarray   # l with L^T l = l and l @ g = 1
 
 
 def riesz_projection(ops):
-    """Riesz projection of L onto its simple eigenvalue 1, P = g l^T.
+    """Riesz projection of L onto its simple eigenvalue 1, P = g l^T, as l.
 
     For a simple eigenvalue the Riesz projection is exactly the rank-one
     g l^T / (l^T g), l the left null vector of L - I (Kato, Perturbation
@@ -139,9 +134,9 @@ def riesz_projection(ops):
         [   g^T     0] [s] = [1],
 
     which is nonsingular exactly when eigenvalue 1 is algebraically simple
-    and normalises l^T g = 1 (then s = 0).  The diagnostics need no
-    factorisation of P: sigma = ||g|| ||l|| is its one singular value, the
-    rank counts sigma > 1e-6, and ||P^2 - P||_2 = |l^T g - 1| sigma because
+    and normalises l^T g = 1 (then s = 0).  The diagnostics need no P:
+    sigma = ||g|| ||l|| is its one singular value, the rank counts
+    sigma > 1e-6, and ||P^2 - P||_2 = |l^T g - 1| sigma because
     P^2 = (l^T g) P.
     """
     L = ops.L
@@ -158,12 +153,10 @@ def riesz_projection(ops):
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"bordered left-eigenvector solve failed: {exc}") from exc
-    P = np.outer(gvec, lvec)
     sigma = float(np.linalg.norm(gvec) * np.linalg.norm(lvec))
     defect = abs(float(lvec @ gvec) - 1.0) * sigma
-    for a in (P, lvec):
-        a.setflags(write=False)
-    return ProjectionResult(P=P, idempotency_defect=defect,
+    lvec.setflags(write=False)
+    return ProjectionResult(idempotency_defect=defect,
                             rank=int(sigma > 1e-6), functional=lvec)
 
 
@@ -238,11 +231,12 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
     least 1.5.  Eigenvalues of the fine discretization with real part above
     omega_tilde + 0.1 (or `halfplane` if given) are reported; each is
-    flagged stable when a coarse-grid eigenvalue lies within 1e-6, and its
-    `refinement` is that distance.  Both this list and the analytic one
-    keep what lies above one edge, 1e-6 below the window, so an analytic
-    eigenvalue on the window's edge and the discrete one that resolves it
-    are reported together.
+    flagged stable when a coarse-grid eigenvalue lies within 1e-6; its
+    `refinement` is that distance, or above about 1e-4 an inverse-iteration
+    estimate of it (see `_nearest_eigenvalue`), which no flag depends on.
+    Both this list and the analytic one keep what lies above one edge,
+    1e-6 below the window, so an analytic eigenvalue on the window's edge
+    and the discrete one that resolves it are reported together.
 
     The fine grid's eigenvalues come from one dense solve; the coarse
     eigenvalue nearest each reported one from `_nearest_eigenvalue`, two

@@ -274,10 +274,26 @@ def test_riesz_projection_diagnostics(p):
     assert proj.rank == 1
 
 
-def test_riesz_projection_commutes_with_generator():
-    ops = cached_ops(3.0, 96)
-    proj = cached_projection(3.0, 96)
-    assert np.linalg.norm(proj.P @ ops.L - ops.L @ proj.P, 2) <= 1e-8
+def _dense_projection(p, n):
+    """P = g l^T as a 2n x 2n matrix, the reference the closed forms in g
+    and l are compared with."""
+    gvec = sp.symmetry_mode(cached_grid(n), cached_params(p))
+    return np.outer(gvec, cached_projection(p, n).functional)
+
+
+def _dense_commutator(P, L):
+    return np.linalg.norm(P @ L - L @ P, 2)
+
+
+def test_commutator_closed_form_matches_dense():
+    # the p = 2 projection against the p = 3 operator does not commute,
+    # so the rank-two closed form is compared on an O(1) value
+    L = cached_ops(3.0, 96).L
+    gvec = sp.symmetry_mode(cached_grid(96), cached_params(2.0))
+    dense = _dense_commutator(_dense_projection(2.0, 96), L)
+    assert dense > 0.1
+    closed = vl._commutator_norm(L, gvec, cached_projection(2.0, 96).functional)
+    assert closed == pytest.approx(dense, rel=1e-10)
 
 
 @settings(derandomize=True, deadline=None)
@@ -288,18 +304,25 @@ def test_riesz_projection_on_admissible_domain(p, n):
     proj = sp.riesz_projection(ops)
     assert proj.rank == 1
     assert proj.idempotency_defect <= 1e-8
-    assert np.linalg.norm(proj.P @ ops.L - ops.L @ proj.P, 2) <= 1e-8
+    gvec = sp.symmetry_mode(ops.grid, ops.params)
+    assert vl._commutator_norm(ops.L, gvec, proj.functional) <= 1e-8
 
 
 @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("n", [48, 96, 144])
 def test_projection_diagnostics_match_dense_linear_algebra(p, n):
     proj = cached_projection(p, n)
-    P = proj.P
+    P = _dense_projection(p, n)
     svals = np.linalg.svd(P, compute_uv=False)
     assert proj.rank == int(np.sum(svals > 1e-6))
     assert abs(proj.idempotency_defect
                - np.linalg.norm(P @ P - P, 2)) <= 1e-13
+    # P commutes with L: the dense and the closed-form commutator both
+    # read rounding
+    L = cached_ops(p, n).L
+    gvec = sp.symmetry_mode(cached_grid(n), cached_params(p))
+    assert _dense_commutator(P, L) <= 1e-10
+    assert vl._commutator_norm(L, gvec, proj.functional) <= 1e-10
 
 
 def test_projection_defect_sees_a_misnormalised_functional(monkeypatch):
@@ -308,7 +331,9 @@ def test_projection_defect_sees_a_misnormalised_functional(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1.01 * solve(a, b))
     proj = sp.riesz_projection(cached_ops(3.0, 96))
-    dense = np.linalg.norm(proj.P @ proj.P - proj.P, 2)
+    P = np.outer(sp.symmetry_mode(cached_grid(96), cached_params(3.0)),
+                 proj.functional)
+    dense = np.linalg.norm(P @ P - P, 2)
     assert dense > 1e-3
     assert proj.idempotency_defect == pytest.approx(dense, rel=1e-10)
     checks = {r.name: r.ok for r in vl.suite_spectral(cached_params(3.0),
@@ -332,7 +357,7 @@ def _contour_projection(L, m=32, center=1.0, radius=0.5):
 def test_riesz_projection_matches_contour_quadrature(p):
     ops = cached_ops(p, 48)
     ref = _contour_projection(ops.L)
-    P = cached_projection(p, 48).P
+    P = _dense_projection(p, 48)
     assert np.linalg.norm(P - ref, 2) <= 1e-11 * np.linalg.norm(ref, 2)
 
 
