@@ -2,13 +2,13 @@
 
 Nodes are stored ascending with rho[0] = 0 and rho[-1] = L.  The grid
 carries the spectral differentiation matrix D, a Volterra integration
-matrix V realizing u -> int_0^rho u, Clenshaw-Curtis quadrature weights w,
-and barycentric weights for off-grid interpolation.
+matrix V realizing u -> int_0^rho u, quadrature weights w and barycentric
+weights for off-grid interpolation.
 
-V is built by integrating the Chebyshev interpolant coefficient-wise with
-the antiderivative pinned to zero at rho = 0; this is exact for polynomials
-up to degree n-1 and its last row coincides with the Clenshaw-Curtis
-weights to rounding.
+V integrates the Chebyshev interpolant coefficient-wise, pinned to zero at
+rho = 0, so it is exact for polynomials up to degree n-1.  Its last row,
+the integral over [0, L], is the Clenshaw-Curtis rule (Trefethen, Spectral
+Methods in MATLAB, ch. 12), and w is that row: one quadrature per grid.
 """
 
 from dataclasses import dataclass
@@ -29,32 +29,13 @@ def _cheb_nodes_and_diff(N):
     return x, D
 
 
-def _clencurt(N):
-    """Clenshaw-Curtis weights for nodes cos(j*pi/N) on [-1, 1].
-
-    The cosine terms are subtracted from 1 one after another, in the order
-    of k, by one subtract.reduce over their stacked rows.
-    """
-    theta = np.pi * np.arange(1, N) / N
-    k = np.arange(1, (N + 1) // 2)[:, None]
-    terms = [np.ones((1, N - 1)),
-             2.0 * np.cos(2.0 * k * theta) / (4.0 * k**2 - 1)]
-    w = np.empty(N + 1)
-    if N % 2 == 0:
-        terms.append(np.cos(N * theta)[None, :] / (N**2 - 1))
-        w[0] = w[N] = 1.0 / (N**2 - 1)
-    else:
-        w[0] = w[N] = 1.0 / N**2
-    w[1:N] = 2.0 * np.subtract.reduce(np.vstack(terms), axis=0) / N
-    return w
-
-
 def _volterra(N, length):
     """Integration matrix u |-> int_0^rho u on the mapped CGL grid.
 
     Works in Chebyshev coefficient space: values -> coefficients ->
     integrated coefficients (degree N+1) -> values, with the constant fixed
-    so the antiderivative vanishes at rho = 0 (x = +1).
+    so the antiderivative vanishes at rho = 0 (x = +1).  The last row,
+    which integrates over [0, L], holds the grid's Clenshaw-Curtis weights.
     """
     j = np.arange(N + 1)
     c = np.ones(N + 1)
@@ -86,7 +67,7 @@ class Grid:
     nodes: np.ndarray   # ascending, nodes[0] = 0, nodes[-1] = length
     D: np.ndarray       # spectral differentiation, (n, n)
     V: np.ndarray       # Volterra integration u -> int_0^rho u, (n, n)
-    w: np.ndarray       # quadrature weights, (n,)
+    w: np.ndarray       # quadrature weights, V's last row, (n,)
     bary: np.ndarray    # barycentric interpolation weights, (n,)
 
     def integrate(self, u):
@@ -111,8 +92,8 @@ def build_grid(n, length=1.0):
     nodes[0] = 0.0
     nodes[-1] = length
     D = Dx * (-2.0 / length)
-    w = _clencurt(N) * (length / 2.0)
     V = _volterra(N, length)
+    w = V[-1]
     bary = (-1.0) ** np.arange(n)
     bary[0] *= 0.5
     bary[-1] *= 0.5

@@ -155,6 +155,13 @@ def avg_A(grid, u):
     return out
 
 
+def _kappa_pair(params, rho):
+    """psi^1's stacked pair kappa(rho) = ((2 rho/(p-1)) k, k)."""
+    k = params.kappa_root
+    return np.concatenate([(2.0 * rho / (params.p - 1.0)) * k,
+                           k * np.ones_like(rho)])
+
+
 def data_to_v(fg, params):
     """Initial data relative to psi^1: v1 = rho g - (2 rho/(p-1)) k,
     v2 = rho f' + f - k, with k = kappa0^(1/(p-1)).
@@ -164,16 +171,9 @@ def data_to_v(fg, params):
     """
     grid = fg.grid
     rho = grid.nodes
-    k = params.kappa_root
-    v1 = rho * fg.g - (2.0 * rho / (params.p - 1.0)) * k
-    v2 = rho * (grid.D @ fg.f) + fg.f - k
-    return DataPair(v1=v1, v2=v2, grid=grid)
-
-
-def _kappa_pair(params, rho):
-    k = params.kappa_root
-    return np.concatenate([(2.0 * rho / (params.p - 1.0)) * k,
-                           k * np.ones_like(rho)])
+    v = (np.concatenate([rho * fg.g, rho * (grid.D @ fg.f) + fg.f])
+         - _kappa_pair(params, rho))
+    return DataPair(v1=v[:grid.n], v2=v[grid.n:], grid=grid)
 
 
 def U_map(v, T, params, grid):
@@ -253,12 +253,12 @@ def energy_blowup(params, n):
     return ts, norms, slope
 
 
-def random_polynomial_state(grid, rng, amplitude=1e-3, degree=6):
-    """Seeded smooth stacked state: phi1 = rho * poly(rho), phi2 =
-    poly(rho), normalized so the quadrature L2 norm equals `amplitude`."""
+def random_polynomial_state(grid, rng, amplitude=1e-3):
+    """Seeded state phi1 = rho q1(rho), phi2 = q2(rho), q1, q2 quintics with
+    standard normal coefficients, scaled to quadrature L2 norm `amplitude`."""
     rho = grid.nodes
-    c1 = rng.standard_normal(degree)
-    c2 = rng.standard_normal(degree)
+    c1 = rng.standard_normal(6)
+    c2 = rng.standard_normal(6)
     u = np.concatenate([rho * np.polyval(c1, rho), np.polyval(c2, rho)])
     nrm = state_norm(grid, u)
     if amplitude > 0.0 and nrm > 0.0:
@@ -268,20 +268,21 @@ def random_polynomial_state(grid, rng, amplitude=1e-3, degree=6):
     return u
 
 
-def random_polynomial_data(grid, rng, params, amplitude=1e-3, degree=4):
+def random_polynomial_data(grid, rng, params, amplitude=1e-3):
     """Seeded smooth Cauchy data (f, g) near psi^1, as a RadialPair on the
     given grid, with the perturbation scaled to `amplitude`.
 
-    The perturbations are polynomials in r^2: regular radial fields are
-    even in r, and odd content would spoil smoothness at the origin.
+    The perturbations are cubics in r^2 with standard normal coefficients:
+    regular radial fields are even in r, and odd content would spoil
+    smoothness at the origin.
     """
     if not abs(amplitude) < np.inf:
         raise DomainError(f"amplitude={amplitude} out of range: need a "
                           f"finite amplitude")
     r2 = grid.nodes**2
     k = params.kappa_root
-    pf = np.polyval(rng.standard_normal(degree), r2)
-    pg = np.polyval(rng.standard_normal(degree), r2)
+    pf = np.polyval(rng.standard_normal(4), r2)
+    pg = np.polyval(rng.standard_normal(4), r2)
     f = k + amplitude * pf
     g = 2.0 / (params.p - 1.0) * k + amplitude * pg
     return RadialPair(f=f, g=g, grid=grid)

@@ -89,11 +89,11 @@ def _is_nonpositive_int(x):
     return x == round(x) and x <= 0.0
 
 
-def _series(a, b, c, z, max_terms=_MAX_TERMS):
+def _series(a, b, c, z):
     """Direct series sum_k (a)_k (b)_k / ((c)_k k!) z^k."""
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         if term == 0.0 or abs(term) < _SERIES_TOL * abs(total):

@@ -229,7 +229,8 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     """Collocation eigenvalues of L filtered by refinement stability.
 
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
-    least 1.5.  Eigenvalues of the fine discretization with real part above
+    least 1.5; a (fine, coarse) pair fails that and raises DomainError.
+    Eigenvalues of the fine discretization with real part above
     omega_tilde + 0.1 (or `halfplane` if given) are reported; each is
     flagged stable when a coarse-grid eigenvalue lies within 1e-6; its
     `refinement` is that distance, or above about 1e-4 an inverse-iteration
@@ -248,8 +249,6 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     (`projection_s`).
     """
     coarse, fine = grids
-    if fine.n < coarse.n:
-        coarse, fine = fine, coarse
     if fine.n < 1.5 * coarse.n:
         raise DomainError(
             f"refinement pair n={coarse.n}/{fine.n} out of range: need a factor >= 1.5")

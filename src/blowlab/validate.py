@@ -244,8 +244,6 @@ def suite_spectral(params, n, seed):
                       float(np.abs(gf.D @ rho**2 - 2 * rho).max()), 1e-10))
     out.append(_upper("spectral", "grid_volterra_const",
                       float(np.abs(gf.V @ np.ones(n_fine) - rho).max()), 1e-10))
-    out.append(_upper("spectral", "grid_volterra_quadrature",
-                      float(np.abs(gf.V[-1, :] - gf.w).max()), 1e-10))
 
     ops_f = sp.assemble_L(gf, params)
     gvec = sp.symmetry_mode(gf, params)

@@ -26,7 +26,6 @@ def test_build_grid_invariants():
         rho = g.nodes
         assert np.abs(g.D @ rho**2 - 2 * rho).max() <= 1e-10
         assert np.abs(g.V @ np.ones(n) - rho).max() <= 1e-10
-        assert np.abs(g.V[-1, :] - g.w).max() <= 1e-10
     g = cached_grid(64)
     assert g.integrate(g.nodes**2) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -112,7 +111,7 @@ def _reference_L(grid, params):
     return L
 
 
-# both parities of N = n - 1, since the Clenshaw-Curtis weights branch on it
+# both parities of N = n - 1, since the reference weights branch on it
 @pytest.mark.parametrize("n", [16, 17, 48, 63, 64, 96, 144, 161])
 @pytest.mark.parametrize("length", [1.0, 1.5])
 def test_grid_and_generator_match_loop_construction(n, length):
@@ -120,11 +119,14 @@ def test_grid_and_generator_match_loop_construction(n, length):
     x, Dx = _reference_cheb_nodes_and_diff(N)
     x_new, Dx_new = gr._cheb_nodes_and_diff(N)
     assert np.array_equal(x_new, x) and np.array_equal(Dx_new, Dx)
-    assert np.array_equal(gr._clencurt(N), _reference_clencurt(N))
     grid = build_grid(n, length)
     assert np.array_equal(grid.D, Dx * (-2.0 / length))
     assert np.array_equal(grid.V, _reference_volterra(N, length))
-    assert np.array_equal(grid.w, _reference_clencurt(N) * (length / 2.0))
+    # the weights are V's last row, the Clenshaw-Curtis rule to rounding
+    w_ref = _reference_clencurt(N) * (length / 2.0)
+    eps = np.finfo(float).eps
+    assert np.abs(grid.w - w_ref).max() <= 16 * eps * np.abs(w_ref).max()
+    assert not grid.w.flags.writeable
     for p in (1.5, 3.0):
         params = cached_params(p)
         assert np.array_equal(sp.assemble_L(grid, params).L,

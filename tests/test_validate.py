@@ -1,9 +1,10 @@
 """Every `validate` suite at p = 1.5 and p = 3, one test per suite;
 `suite_specfun`, which does not read p, runs once.
 
-Test ids name the suite and the exponent (`evolve-p1.5`); a failure lists
-the suite's FAIL lines, which name each failing check, its value and its
-bound.  A check whose samples are all NaN fails.
+Test ids name the suite and the exponent (`evolve-p1.5`); a suite must
+return the check names pinned in `CHECK_NAMES`, in order, and a failure
+lists the suite's FAIL lines, which name each failing check, its value and
+its bound.  A check whose samples are all NaN fails.
 """
 
 import math
@@ -19,10 +20,33 @@ CASES = [pytest.param(suite, p,
          if suite is not vl.suite_specfun or p == 3.0]
 
 
+# the 30 checks by suite, in order: adding, renaming or retiring a check
+# edits this table
+CHECK_NAMES = {
+    "suite_specfun": ("rgamma_lngamma_identity", "contiguous_relation",
+                      "argument_symmetry_exact", "series_connection_overlap"),
+    "suite_lipschitz": ("nonlin_N_at_zero", "quadratic_bound_constant",
+                        "quadratic_smallness_constant", "lipschitz_constant"),
+    "suite_model": ("linfty_bound_violation", "hardy_constant",
+                    "energy_homogeneity", "energy_triangle_violation",
+                    "U_map_closed_form", "psi_T_ode_fd_order"),
+    "suite_spectral": ("grid_diff_rho2", "grid_volterra_const",
+                       "symmetry_mode_residual", "projection_idempotency",
+                       "projection_commutator", "quantization_agreement",
+                       "wronskian_identity", "free_part_dissipativity"),
+    "suite_rhs": ("nonlinear_term_oracle",),
+    "suite_evolve": ("unstable_coefficient_growth_rate",
+                     "stable_subspace_decay_rate", "richardson_ratio",
+                     "xnorm_attained_at_small_tau", "xnorm_over_initial",
+                     "zero_correction_identity", "refinement_rate_drift"),
+}
+
+
 @pytest.mark.parametrize("suite, p", CASES)
 def test_suite_passes(suite, p):
-    failed = [res.line() for res in suite(cached_params(p), 96, 0)
-              if not res.ok]
+    results = suite(cached_params(p), 96, 0)
+    assert tuple(res.name for res in results) == CHECK_NAMES[suite.__name__]
+    failed = [res.line() for res in results if not res.ok]
     assert not failed, "\n".join(failed)
 
 
