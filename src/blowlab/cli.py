@@ -84,19 +84,18 @@ def cmd_evolve(args):
     marks.append(("grid_operator", time.perf_counter()))
     proj = sp.riesz_projection(ops)
     marks.append(("projection", time.perf_counter()))
-    dtau = args.dtau if args.dtau is not None else ev.stable_dtau(ops)
     v = _seeded_data(args, params)
     marks.append(("data", time.perf_counter()))
     t_star = None
     abort = None
     if args.tune:
         t_star, traj = ev.tune_T(v, params, args.tau_end, grid, ops,
-                                 projection=proj, dtau=dtau)
+                                 projection=proj)
     else:
         init = md.U_map(v, args.T, params, grid)
         try:
             traj = ev.integrate(init, args.tau_end, ops, grid, params,
-                                nonlinear=True, dtau=dtau, projection=proj)
+                                nonlinear=True, projection=proj)
         except AmplitudeAbort as exc:
             # untuned runs grow like e^tau; keep the partial trajectory so
             # the growth rate stays measurable, then report the abort
@@ -108,7 +107,7 @@ def cmd_evolve(args):
     summary = {
         "p": args.p, "n": args.n, "eps": args.eps, "seed": args.seed,
         "amplitude": args.amplitude, "tau_end": args.tau_end,
-        "dtau": dtau, "T": args.T, "T_star": t_star,
+        "T": args.T, "T_star": t_star,
         "mu": params.mu, "rate": None, "fit_amplitude": None,
         "growth_rate": None, "xnorm_mu": None,
         "aborted_at": None if abort is None else float(traj.taus[-1]),
@@ -236,11 +235,6 @@ def build_parser():
     p_ev.add_argument("--tau-end", type=float, default=10.0)
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
-    p_ev.add_argument("--dtau", type=float, default=None,
-                      help="longest Lawson RK4 step, at most 0.1 "
-                           "(default: 0.1, so 4, 2 or 1 steps per 0.1 "
-                           "sample as the state decays; a dtau of at most "
-                           "0.025 is a fixed step)")
     p_ev.add_argument("--field-out", type=str, default="",
                       help="also write the reconstructed physical field at "
                            "the last sample (CSV t,r,psi,psi_t)")

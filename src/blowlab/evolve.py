@@ -32,9 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import (AmplitudeAbort, DegenerateFitError, DomainError,
-                     NoSignChangeError, NonConvergenceError, OverflowAbort,
-                     StepSizeError)
+from .errors import (AmplitudeAbort, DomainError, NoSignChangeError,
+                     NonConvergenceError, OverflowAbort, StepSizeError)
 from .grid import bary_interp
 from .model import avg_A, nonlin_dN, nonlin_N, state_norm
 from .spectral import riesz_projection
@@ -48,8 +47,6 @@ _AMPLITUDE_LIMIT = 1.0
 _T_DOMAIN = (0.5 + 1e-9, 1.5 - 1e-9)
 # secant steps per search
 _MAXITER = 20
-# steps of tune_T's linear flow held at once: one unit of tau
-_FLOW_BLOCK = 40
 
 # Higham (2005): the degree-13 Pade approximant of exp is accurate to
 # double precision for 1-norms up to theta_13 (Table 2.3); b holds its
@@ -314,37 +311,17 @@ def _step_matrices(ops, steps):
     return ops.steps[h]
 
 
-def _log_linear_fit(taus, values, tau_window):
-    """Least-squares line through (tau, log|value|) over the samples with
-    tau in tau_window; returns (slope, intercept).
-
-    Raises DegenerateFitError for fewer than 10 samples in the window or a
-    |value| at or below 1e-14 there.
-    """
-    taus = np.asarray(taus)
-    values = np.abs(np.asarray(values))
-    mask = (taus >= tau_window[0] - 1e-9) & (taus <= tau_window[1] + 1e-9)
-    if mask.sum() < 10:
-        raise DegenerateFitError(
-            f"only {int(mask.sum())} samples in fit window {tau_window}, "
-            f"need >= 10")
-    if values[mask].min() <= 1e-14:
-        raise DegenerateFitError("fitted values underflow below 1e-14")
-    slope, intercept = np.polyfit(taus[mask], np.log(values[mask]), 1)
-    return float(slope), intercept
-
-
 def decay_fit(traj, tau_window):
     """Exponential fit of ||Phi|| over the window; returns (rate,
     amplitude): rate is the negated slope of log||Phi|| vs tau, amplitude
     the fit's value at tau = 0."""
-    slope, intercept = _log_linear_fit(traj.taus, traj.norms, tau_window)
+    slope, intercept = model._log_linear_fit(traj.taus, traj.norms, tau_window)
     return -slope, float(np.exp(intercept))
 
 
 def growth_fit(taus, values, tau_window):
     """Fitted exponential rate of |values| over the window."""
-    return _log_linear_fit(taus, values, tau_window)[0]
+    return model._log_linear_fit(taus, values, tau_window)[0]
 
 
 def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
@@ -446,31 +423,22 @@ def _linear_flow_integrals(u, tau_end, ops, projection):
     stacked state u: (taus, I, J) at every 0.025 up to the last 0.1 sample
     before tau_end, with I(tau) = int_0^tau e^-s l @ (rho N, 0) ds and
     J(tau) = int_0^tau l @ (rho N', 0) ds at N = N(A phi2(s)), by the
-    cumulative trapezoid rule.
-
-    The flow is held _FLOW_BLOCK steps at a time, so its states take
-    _FLOW_BLOCK x 2n floats whatever tau_end is.
+    cumulative trapezoid rule.  The flow is held whole, (tau_end/0.025 + 1)
+    x 2n floats, so N and N' each take one nonlinear_term call.
     """
     E = _step_matrices(ops, _SUBSTEPS)[0]
     h = _SAMPLE_DTAU / _SUBSTEPS
     nsteps = _SUBSTEPS * int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
-    n_vals = np.empty(nsteps + 1)
-    dn_vals = np.empty(nsteps + 1)
-    block = np.empty((_FLOW_BLOCK, u.size))
-    u = np.array(u, dtype=float)
-    u[0] = 0.0
-    for start in range(0, nsteps + 1, _FLOW_BLOCK):
-        rows = block[:nsteps + 1 - start]
-        for row in rows:
-            row[:] = u
-            u = E @ u
-        stop = start + len(rows)
-        n_vals[start:stop] = nonlinear_term(
-            ops.grid, ops.params, rows) @ projection.functional
-        dn_vals[start:stop] = nonlinear_term(
-            ops.grid, ops.params, rows, nonlin_dN) @ projection.functional
+    flow = np.empty((nsteps + 1, u.size))
+    flow[0] = u
+    flow[0, 0] = 0.0
+    for k in range(1, nsteps + 1):
+        np.matmul(E, flow[k - 1], out=flow[k])
     taus = h * np.arange(nsteps + 1)
-    n_vals *= np.exp(-taus)
+    n_vals = np.exp(-taus) * (nonlinear_term(ops.grid, ops.params, flow)
+                              @ projection.functional)
+    dn_vals = (nonlinear_term(ops.grid, ops.params, flow, nonlin_dN)
+               @ projection.functional)
     return (taus, _cumulative_trapezoid(n_vals, h),
             _cumulative_trapezoid(dn_vals, h))
 
@@ -525,19 +493,20 @@ def _secant(f, x0, x1):
     return min(values, key=lambda x: abs(values[x])), stop
 
 
-def correction_residual(traj, grid, params, projection):
+def correction_residual(traj, ops, projection):
     """Discrete zero-correction identity of a tuned run.
 
     On a trajectory with the unstable mode suppressed, the initial
     coefficient cancels the weighted tail of the projected nonlinearity:
     a(0) + int_0^inf e^{-s} l(N(Phi(s))) ds = 0, l the projection
     functional (P N = l(N) g).  Returns the magnitude of the left side
-    with the integral truncated at the last sample (trapezoid rule).
+    with the integral truncated at the last sample, by the trapezoid rule
+    of tune_T's Duhamel prediction.
     """
-    taus = traj.taus
-    vals = np.exp(-taus) * (nonlinear_term(grid, params, traj.states)
-                            @ projection.functional)
-    integral = float(np.trapezoid(vals, taus))
+    vals = np.exp(-traj.taus) * (
+        nonlinear_term(ops.grid, ops.params, traj.states)
+        @ projection.functional)
+    integral = float(_cumulative_trapezoid(vals, _SAMPLE_DTAU)[-1])
     return abs(traj.unstable_coeffs[0] + integral)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateFitError, DomainError
 from .grid import Grid, bary_interp, build_grid
 
 # test hook: flipping this breaks the sign-explicit power in nonlin_N,
@@ -249,8 +249,28 @@ def energy_blowup(params, n):
                           g=np.full(n, psi_T_t(params, t)),
                           grid=build_grid(n, params.T - t))
         norms.append(energy_norm(pair))
-    slope = float(np.polyfit(np.log(params.T - ts), np.log(norms), 1)[0])
+    slope = _log_linear_fit(np.log(params.T - ts), norms, (-np.inf, np.inf))[0]
     return ts, norms, slope
+
+
+def _log_linear_fit(x, values, window):
+    """Least-squares line through (x, log|value|) over the samples with x
+    in window, for every rate fit; returns (slope, intercept).
+
+    Raises DegenerateFitError for fewer than 10 samples in the window or a
+    |value| at or below 1e-14 there.
+    """
+    x = np.asarray(x)
+    values = np.abs(np.asarray(values))
+    mask = (x >= window[0] - 1e-9) & (x <= window[1] + 1e-9)
+    if mask.sum() < 10:
+        raise DegenerateFitError(
+            f"only {int(mask.sum())} samples in fit window {window}, "
+            f"need >= 10")
+    if values[mask].min() <= 1e-14:
+        raise DegenerateFitError("fitted values underflow below 1e-14")
+    slope, intercept = np.polyfit(x[mask], np.log(values[mask]), 1)
+    return float(slope), intercept
 
 
 def random_polynomial_state(grid, rng, amplitude=1e-3):

@@ -6,7 +6,8 @@ returns one CheckResult per check, with the measured value and its bound;
 `--out`) and exits nonzero if any fail, and pytest runs each suite as its
 own test.  The suites are grouped so that a fault in one ingredient (say,
 a sign error in the nonlinearity) shows up in the groups that depend on it.
-No two checks read the same quantity, and none holds by construction.
+`suite_specfun` and `suite_integrator` read neither p nor n.  No two
+checks read the same quantity, and none holds by construction.
 """
 
 import math
@@ -313,9 +314,32 @@ def suite_rhs(params, n, seed):
     return out
 
 
+def suite_integrator(params, n, seed):
+    """Richardson self-convergence of the Lawson RK4 step on a smooth run
+    at p = 3 and n = 32, whatever params and n: below p = 3 its step error
+    sits at rounding (the ratio reads 0.93, 1.08, 4.08 and 16.48 at
+    p = 1.25, 1.5, 2 and 3)."""
+    p3 = md.params_new(3.0)
+    g32 = build_grid(32)
+    ops32 = sp.assemble_L(g32, p3)
+    proj32 = sp.riesz_projection(ops32)
+    gsym = sp.symmetry_mode(g32, p3)
+    smooth = 0.2 / md.state_norm(g32, gsym) * gsym
+    kw = dict(nonlinear=True, projection=proj32)
+    ref = ev.integrate(smooth, 1.0, ops32, g32, p3, dtau=2.5e-4, **kw)
+    e_coarse = md.state_norm(g32, ev.integrate(
+        smooth, 1.0, ops32, g32, p3, dtau=4e-3, **kw).states[-1]
+        - ref.states[-1])
+    e_fine = md.state_norm(g32, ev.integrate(
+        smooth, 1.0, ops32, g32, p3, dtau=2e-3, **kw).states[-1]
+        - ref.states[-1])
+    return [_interval("integrator", "richardson_ratio", e_coarse / e_fine,
+                      12.0, 20.0)]
+
+
 def suite_evolve(params, n, seed):
-    """Growth, decay, convergence and tuning of the evolution, on grids of
-    its own (48 and 72 points, and 32 at p=3): n is not used."""
+    """Growth, decay and tuning of the evolution, on grids of its own (48
+    and 72 points): n is not used."""
     out = []
     tau_end = 8.0
     grid = build_grid(48)
@@ -340,26 +364,6 @@ def suite_evolve(params, n, seed):
     out.append(_lower("evolve", "stable_subspace_decay_rate", rate,
                       abs(params.omega) - 0.15))
 
-    # Richardson self-convergence on a junk-free smooth run, fixed at p=3:
-    # below it the step error of the n=32 run sits at rounding, and the
-    # ratio reads 0.93, 1.08 and 4.08 at p = 1.25, 1.5 and 2 (16.48 at 3)
-    p3 = md.params_new(3.0)
-    g32 = build_grid(32)
-    ops32 = sp.assemble_L(g32, p3)
-    proj32 = sp.riesz_projection(ops32)
-    gsym = sp.symmetry_mode(g32, p3)
-    smooth = 0.2 / md.state_norm(g32, gsym) * gsym
-    kw = dict(nonlinear=True, projection=proj32)
-    ref = ev.integrate(smooth, 1.0, ops32, g32, p3, dtau=2.5e-4, **kw)
-    e_coarse = md.state_norm(g32, ev.integrate(
-        smooth, 1.0, ops32, g32, p3, dtau=4e-3, **kw).states[-1]
-        - ref.states[-1])
-    e_fine = md.state_norm(g32, ev.integrate(
-        smooth, 1.0, ops32, g32, p3, dtau=2e-3, **kw).states[-1]
-        - ref.states[-1])
-    out.append(_interval("evolve", "richardson_ratio",
-                         e_coarse / e_fine, 12.0, 20.0))
-
     # tuned run: weighted boundedness, early attainment, zero-correction
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
@@ -370,7 +374,7 @@ def suite_evolve(params, n, seed):
     out.append(_upper("evolve", "xnorm_over_initial",
                       float(weighted.max() / tuned.norms[0]), 10.0))
     out.append(_upper("evolve", "zero_correction_identity",
-                      ev.correction_residual(tuned, grid, params, proj), 1e-4))
+                      ev.correction_residual(tuned, ops, proj), 1e-4))
 
     # decay-fit rate stability under grid refinement
     n2 = 72
@@ -386,5 +390,5 @@ def suite_evolve(params, n, seed):
 
 
 SUITES = (suite_specfun, suite_lipschitz, suite_model, suite_spectral,
-          suite_rhs, suite_evolve)
+          suite_rhs, suite_integrator, suite_evolve)
 

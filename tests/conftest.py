@@ -7,6 +7,10 @@ import pytest
 from blowlab.grid import build_grid
 from blowlab.model import params_new
 from blowlab.spectral import assemble_L, riesz_projection
+from blowlab.validate import suite_integrator, suite_specfun
+
+# the validate suites that read neither p nor n: tests run them once
+P_FREE_SUITES = (suite_specfun, suite_integrator)
 
 
 @lru_cache(maxsize=None)

@@ -407,7 +407,7 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
     assert traj.norms[-1] < traj.norms[0]
     assert (np.exp(0.35 * traj.taus) * traj.norms).max() \
         <= 10.0 * traj.norms[0]
-    resid = ev.correction_residual(traj, grid, params, proj)
+    resid = ev.correction_residual(traj, ops, proj)
     assert resid <= 1e-4
     # the search integrates each T once, from U(v, T), and records every
     # integration

@@ -1,5 +1,5 @@
 """Every `validate` suite at p = 1.5 and p = 3, one test per suite;
-`suite_specfun`, which does not read p, runs once.
+`suite_specfun` and `suite_integrator`, which do not read p, run once.
 
 Test ids name the suite and the exponent (`evolve-p1.5`); a suite must
 return the check names pinned in `CHECK_NAMES`, in order, and a failure
@@ -12,12 +12,12 @@ import math
 import pytest
 
 from blowlab import validate as vl
-from conftest import cached_params
+from conftest import P_FREE_SUITES, cached_params
 
 CASES = [pytest.param(suite, p,
                       id=f"{suite.__name__.removeprefix('suite_')}-p{p:g}")
          for suite in vl.SUITES for p in (1.5, 3.0)
-         if suite is not vl.suite_specfun or p == 3.0]
+         if suite not in P_FREE_SUITES or p == 3.0]
 
 
 # the 30 checks by suite, in order: adding, renaming or retiring a check
@@ -35,8 +35,9 @@ CHECK_NAMES = {
                        "projection_commutator", "quantization_agreement",
                        "wronskian_identity", "free_part_dissipativity"),
     "suite_rhs": ("nonlinear_term_oracle",),
+    "suite_integrator": ("richardson_ratio",),
     "suite_evolve": ("unstable_coefficient_growth_rate",
-                     "stable_subspace_decay_rate", "richardson_ratio",
+                     "stable_subspace_decay_rate",
                      "xnorm_attained_at_small_tau", "xnorm_over_initial",
                      "zero_correction_identity", "refinement_rate_drift"),
 }
@@ -63,9 +64,9 @@ def test_all_nan_samples_fail_their_checks(monkeypatch):
 def test_lines_show_both_ends_of_a_range():
     # a ratio below its range fails and names the range's lower end; a
     # lower bound reads as a half-open range, an upper one as before
-    low = vl._interval("evolve", "richardson_ratio", 11.0, 12.0, 20.0)
+    low = vl._interval("integrator", "richardson_ratio", 11.0, 12.0, 20.0)
     assert not low.ok
-    assert low.line() == ("FAIL evolve/richardson_ratio: value=11 "
+    assert low.line() == ("FAIL integrator/richardson_ratio: value=11 "
                           "bound=[12, 20]")
     rate = vl._lower("evolve", "stable_subspace_decay_rate", 0.99, 0.35)
     assert rate.line() == ("PASS evolve/stable_subspace_decay_rate: "
