@@ -17,11 +17,13 @@ Raw eigenvalues of the discretization are untrusted: the continuous part
 of the spectrum produces resolution-dependent values, so only eigenvalues
 that move by < 1e-6 between two grids are flagged refinement-stable, and
 only the half-plane Re(lam) > omega_tilde + 0.1 is reported.  One dense
-eigenvalue solve, on the fine grid, finds the reported eigenvalues; the
-coarse eigenvalue nearest each of them comes from shifted inverse
-iteration on the coarse operator, two LU solves per reported eigenvalue,
-so that part of the cost grows with the window's roughly 1/(p - 1)
-eigenvalues.
+eigenvalue solve, on the coarse grid, finds the candidates; the fine
+eigenvalue nearest each of them comes from shifted inverse iteration on
+the fine operator, two LU solves per candidate.  A stable entry reports
+that fine eigenvalue, an unstable one its coarse candidate.  The
+refinement cost grows with the window's roughly 1/(p - 1) eigenvalues
+and passes that of a dense fine solve at about 9 of them (p of about
+1.12 at n = 96).
 """
 
 import json
@@ -225,28 +227,34 @@ def _nearest_eigenvalue(matrix, shift):
     return shift + c
 
 
-def discrete_eigenvalues(ops, grids, halfplane=None):
+def discrete_eigenvalues(ops, grids, halfplane=None, projection=None):
     """Collocation eigenvalues of L filtered by refinement stability.
 
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
     least 1.5; a (fine, coarse) pair fails that and raises DomainError.
-    Eigenvalues of the fine discretization with real part above
-    omega_tilde + 0.1 (or `halfplane` if given) are reported; each is
-    flagged stable when a coarse-grid eigenvalue lies within 1e-6; its
-    `refinement` is that distance, or above about 1e-4 an inverse-iteration
-    estimate of it (see `_nearest_eigenvalue`), which no flag depends on.
-    Both this list and the analytic one keep what lies above one edge,
-    1e-6 below the window, so an analytic eigenvalue on the window's edge
-    and the discrete one that resolves it are reported together.
+    One dense solve finds the coarse grid's eigenvalues; each one with
+    real part above omega_tilde + 0.1 (or `halfplane` if given) is a shift
+    for `_nearest_eigenvalue` on the fine operator, two LU solves per
+    eigenvalue.  An entry is flagged stable when that fine eigenvalue lies
+    within 1e-6, and its `refinement` is that distance; above about 1e-4
+    it is an inverse-iteration estimate of it (see `_nearest_eigenvalue`),
+    which no flag depends on.  A stable entry holds the fine eigenvalue;
+    an unstable one holds the coarse eigenvalue, which no finer grid
+    confirms, since from a distant shift the estimate is an eigenvalue of
+    neither grid.  Both this list and the analytic one keep what lies
+    above one edge, 1e-6 below the window, so an analytic eigenvalue on
+    the window's edge and the discrete one that resolves it are reported
+    together.
 
-    The fine grid's eigenvalues come from one dense solve; the coarse
-    eigenvalue nearest each reported one from `_nearest_eigenvalue`, two
-    LU solves of the coarse operator per reported eigenvalue.  The
-    report's `timings` holds the seconds spent assembling the operators
-    not passed in (`operators_s`), in the fine grid's eigenvalue solve
-    (`eigenvalues_s`), in the inverse iterations on the coarse grid
-    (`refinement_s`) and in the fine grid's Riesz projection
-    (`projection_s`).
+    The inverse iterations cost more than the fine grid's dense solve
+    they replace once the window holds about 9 eigenvalues (p of about
+    1.12 at n = 96).  The report's `timings` holds the seconds spent
+    assembling the operators not passed in (`operators_s`), in the coarse
+    grid's eigenvalue solve (`eigenvalues_s`), in the inverse iterations
+    on the fine grid (`refinement_s`) and in the fine grid's Riesz
+    projection (`projection_s`).  `projection`, a `riesz_projection` of
+    the fine operator the caller already holds, is used instead of a new
+    one.
     """
     coarse, fine = grids
     if fine.n < 1.5 * coarse.n:
@@ -257,7 +265,7 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     ops_c = ops if ops.grid.n == coarse.n else assemble_L(coarse, params)
     ops_f = ops if ops.grid.n == fine.n else assemble_L(fine, params)
     assembled = time.perf_counter()
-    ev_f = _eigvals(ops_f.L)
+    ev_c = _eigvals(ops_c.L)
     solved = time.perf_counter()
     window = params.omega_tilde + 0.1 if halfplane is None else halfplane
     # a discrete eigenvalue that resolves an analytic one on the window's
@@ -265,18 +273,20 @@ def discrete_eigenvalues(ops, grids, halfplane=None):
     edge = window - _STABILITY_TOL
     report = SpectrumReport(p=params.p, n_coarse=coarse.n, n_fine=fine.n,
                             analytic=analytic_eigenvalues(params, edge))
-    candidates = ev_f[ev_f.real > edge]
-    order = np.lexsort((candidates.imag, -candidates.real))
-    for lam in candidates[order]:
-        dist = float(abs(_nearest_eigenvalue(ops_c.L, lam) - lam))
-        report.discrete.append({
-            "re": float(lam.real),
-            "im": float(lam.imag),
-            "stable": dist < _STABILITY_TOL,
-            "refinement": dist,
-        })
+    # a coarse eigenvalue just below the edge may refine to one above it
+    for mu in ev_c[ev_c.real > edge - _STABILITY_TOL]:
+        lam = _nearest_eigenvalue(ops_f.L, mu)
+        dist = float(abs(lam - mu))
+        stable = dist < _STABILITY_TOL
+        # from a distant shift the estimate is no grid's eigenvalue
+        value = lam if stable else mu
+        if value.real > edge:
+            report.discrete.append({"re": float(value.real),
+                                    "im": float(value.imag),
+                                    "stable": stable, "refinement": dist})
+    report.discrete.sort(key=lambda d: (-d["re"], d["im"]))
     refined = time.perf_counter()
-    proj = riesz_projection(ops_f)
+    proj = riesz_projection(ops_f) if projection is None else projection
     report.timings = {"operators_s": assembled - start,
                       "eigenvalues_s": solved - assembled,
                       "refinement_s": refined - solved,

@@ -259,7 +259,7 @@ def suite_spectral(params, n, seed):
 
     # each stable eigenvalue claims the nearest analytic one not yet
     # claimed, so two stable eigenvalues on one analytic eigenvalue fail
-    report = sp.discrete_eigenvalues(ops_f, (gc, gf))
+    report = sp.discrete_eigenvalues(ops_f, (gc, gf), projection=proj)
     agree = 0.0
     free = list(report.analytic)
     for lam in report.stable_eigenvalues():

@@ -392,41 +392,64 @@ def test_spectrum_report_json_schema():
                                    "refinement_s", "projection_s"}
 
 
-def _dense_flags(report, coarse_L):
-    """The stable flags of a report recomputed from all coarse eigenvalues."""
+def _dense_flags(report, coarse_L, fine_L):
+    """The stable flags of a report recomputed from all eigenvalues of both
+    grids: whether the fine operator has an eigenvalue within 1e-6 of the
+    coarse eigenvalue each entry started from, the one nearest its
+    reported value (the fine eigenvalue if stable, that coarse one if
+    not)."""
     ev_c = np.linalg.eigvals(coarse_L)
-    return [bool(np.abs(ev_c - complex(d["re"], d["im"])).min() < 1e-6)
-            for d in report.discrete]
+    ev_f = np.linalg.eigvals(fine_L)
+    flags = []
+    for d in report.discrete:
+        mu = ev_c[np.abs(ev_c - complex(d["re"], d["im"])).argmin()]
+        flags.append(bool(np.abs(ev_f - mu).min() < 1e-6))
+    return flags
 
 
 @pytest.mark.parametrize("p", [1.1, 1.25, 1.0 + 1.0 / 2.8, 1.5,
                                1.0 + 1.0 / 1.8, 1.75, 2.0, 2.25, 2.5, 3.0])
 def test_refinement_flags_match_dense_coarse_oracle(p):
-    # inverse iteration on the coarse operator flags exactly the fine
-    # eigenvalues that a dense solve of it finds a coarse eigenvalue
-    # within 1e-6 of, on every refinement pair
+    # inverse iteration on the fine operator flags exactly the coarse
+    # eigenvalues that a dense solve of it finds a fine eigenvalue within
+    # 1e-6 of, on every refinement pair
     params = cached_params(p)
     for nc, nf in ((16, 24), (32, 48), (64, 96), (96, 144)):
         ops = sp.assemble_L(cached_grid(nc), params)
         report = sp.discrete_eigenvalues(ops, (cached_grid(nc),
                                                cached_grid(nf)))
         flags = [d["stable"] for d in report.discrete]
-        assert flags == _dense_flags(report, ops.L), (nc, nf)
+        assert flags == _dense_flags(report, ops.L, cached_ops(p, nf).L), (
+            nc, nf)
         assert any(flags)
 
 
 def test_refinement_flags_match_oracle_on_complex_candidates():
     # for p >= 1.1 no complex eigenvalue lies above omega_tilde; at p =
-    # 1.05 the 24-point grid has some in the default window and in one
+    # 1.05 the 16-point grid has some in the default window and in one
     # just above omega_tilde, and they take the complex inverse iteration
     params = cached_params(1.05)
     ops = sp.assemble_L(cached_grid(16), params)
+    fine_L = cached_ops(1.05, 24).L
     for halfplane in (None, params.omega_tilde + 1e-3):
         report = sp.discrete_eigenvalues(
             ops, (cached_grid(16), cached_grid(24)), halfplane=halfplane)
         assert any(d["im"] != 0.0 for d in report.discrete)
         assert ([d["stable"] for d in report.discrete]
-                == _dense_flags(report, ops.L))
+                == _dense_flags(report, ops.L, fine_L))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 3.0])
+def test_stable_entries_are_fine_grid_eigenvalues(p):
+    # a stable entry holds the fine eigenvalue that inverse iteration
+    # found, not a dense solve's
+    ops = cached_ops(p, 96)
+    report = sp.discrete_eigenvalues(ops, (cached_grid(96), cached_grid(144)))
+    ev_f = np.linalg.eigvals(cached_ops(p, 144).L)
+    stable = report.stable_eigenvalues()
+    assert stable
+    for lam in stable:
+        assert np.abs(ev_f - lam).min() <= 1e-9, lam
 
 
 def test_nearest_eigenvalue_on_and_near_coarse_eigenvalues():
@@ -454,28 +477,31 @@ def test_one_dense_eigenvalue_solve_per_spectrum(monkeypatch):
     for p in (1.5, 3.0):
         sp.discrete_eigenvalues(cached_ops(p, 64),
                                 (cached_grid(64), cached_grid(96)))
-    assert calls == [(192, 192), (192, 192)]
+    assert calls == [(128, 128), (128, 128)]
 
 
 def test_refinement_distance_against_extended_precision():
-    # p = 1.02, grids 16/24: the fine eigenvalue near -9 lies 1.2846e-6
-    # from the nearest exact eigenvalue of the coarse matrix (mpmath, 40
-    # digits); inverse iteration reads 1.43e-6 and a dense solve 5.5e-7
+    # p = 1.02, grids 16/24: the coarse eigenvalue near -9 lies 1.3911e-6
+    # from the nearest exact eigenvalue of the fine matrix (mpmath, 40
+    # digits), so its entry is unstable and holds it; inverse iteration
+    # reads 1.336e-6 and a dense solve 5.5e-7
     mpmath = pytest.importorskip("mpmath")
     params = cached_params(1.02)
     ops = sp.assemble_L(cached_grid(16), params)
     report = sp.discrete_eigenvalues(ops, (cached_grid(16), cached_grid(24)))
     entry = min(report.discrete, key=lambda d: abs(d["re"] + 9.0))
+    assert not entry["stable"]
     lam = entry["re"]
+    fine_L = cached_ops(1.02, 24).L
     with mpmath.workdps(40):
-        shifted = mpmath.matrix(ops.L.tolist()) - lam * mpmath.eye(32)
-        x = mpmath.matrix([1] * 32)
+        shifted = mpmath.matrix(fine_L.tolist()) - lam * mpmath.eye(48)
+        x = mpmath.matrix([1] * 48)
         for _ in range(4):
             y = mpmath.lu_solve(shifted, x)
             c = (y.H * x)[0] / (y.H * y)[0]
             x = y / mpmath.norm(y)
         exact = float(abs(c))
-    assert abs(exact - 1.2846e-6) <= 1e-10
+    assert abs(exact - 1.3911e-6) <= 1e-10
     assert abs(entry["refinement"] - exact) <= 3e-7
 
 

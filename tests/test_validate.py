@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from blowlab import spectral as sp
 from blowlab import validate as vl
 from conftest import P_FREE_SUITES, cached_params
 
@@ -49,6 +50,20 @@ def test_suite_passes(suite, p):
     assert tuple(res.name for res in results) == CHECK_NAMES[suite.__name__]
     failed = [res.line() for res in results if not res.ok]
     assert not failed, "\n".join(failed)
+
+
+def test_suite_spectral_makes_one_bordered_solve(monkeypatch):
+    # the report reuses the suite's projection of the fine operator
+    calls = []
+    original = sp.riesz_projection
+
+    def counting(ops):
+        calls.append(ops.grid.n)
+        return original(ops)
+
+    monkeypatch.setattr(sp, "riesz_projection", counting)
+    vl.suite_spectral(cached_params(3.0), 96, 0)
+    assert calls == [96]
 
 
 def test_all_nan_samples_fail_their_checks(monkeypatch):
