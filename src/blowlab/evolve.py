@@ -14,9 +14,10 @@ part of `evolve`'s data, seeds 0-9).  phi1(0) = 0 holds exactly, and
 overflow or NaN is caught once per sample.  The nonlinear term reads the
 state only through A phi2 and writes only phi1, so a step evaluates the
 RK4 stages in two rounds, each one nonlin_N call on two stages' stacked
-reads, with matrices built once per operator and step.  The exponential
-is `_expm`, Higham's Pade-13 scaling and squaring (SIAM J. Matrix Anal.
-Appl. 26, 2005) in numpy, so that no scipy module is imported.
+reads, with four matrices built once per operator and step.  The
+exponential is `_expm`, Higham's Pade-13 scaling and squaring (SIAM J.
+Matrix Anal. Appl. 26, 2005) in numpy, so that no scipy module is
+imported.
 
 Also here: decay-rate fitting, the unstable-mode coefficient, blow-up-time
 tuning by the secant method from the Duhamel prediction of T, and an
@@ -82,11 +83,13 @@ def _expm(A):
 
 
 def stable_dtau(ops):
-    """The default longest step: the 0.1 sample spacing, so that a decaying
-    run takes 4, then 2, then 1 step per sample (see integrate).
+    """The longest step: the 0.1 sample spacing, so that a decaying run
+    takes 4, then 2, then 1 step per sample (see integrate).
 
     The linear part is propagated exactly, so no eigenvalue of `ops` caps
-    the step; it is the same for every operator.
+    the step; it is the same for every operator.  integrate's default
+    (dtau=None) is this step without calling here; the benchmark's setup
+    and tracing still look this function up by name.
     """
     return _SAMPLE_DTAU
 
@@ -147,7 +150,7 @@ class TuneStep(NamedTuple):
 class Trajectory:
     """Sampled evolution from tau = 0: the sample times, the stacked states
     as the rows of a (samples x 2n) array, their L2 norms and their
-    unstable coefficients.
+    unstable coefficients l @ u.
 
     `step_counts` maps each Lawson step size to the number of steps taken
     at it, in the order first taken, so its first key is the step of the
@@ -193,21 +196,21 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     term in the integrating-factor variable; a linear run is u <- E u.
     The stages k_i = (rho N_i, 0) live in phi1 and N reads only the
     running average R u = A phi2, so R k_i = 0 and N3 = N(R E2 u) reads
-    the state alone, like N1 = N(R u).  A nonlinear step is one (5n x 2n)
-    matvec for R u, R E2 u, R E u and E u; round one, one nonlin_N call
-    on the 2n reads (R u, R E2 u) for (N1, N3); two n x n matvecs, as one
-    batched product, for R E2 k1 and R E2 k3; round two, one nonlin_N call
-    on the 2n reads (R E2 u + h/2 R E2 k1, R E u + h R E2 k3) for
-    (N2, N4); and one (2n x 2n) matvec for E k1 and E2 (k2 + k3).
-    These matrices are built once per operator and step and kept on
-    `ops`, so repeated runs, such as tune_T's, build them once.
+    the state alone, like N1 = N(R u).  A nonlinear step is the four
+    matrices of _step_matrices, applied in two rounds of one nonlin_N call
+    on 2n reads each: r = reads @ u; (N1, N3) = N(R u, R E2 u);
+    (N2, N4) = N((R E2 u, R E u) + stage @ (N1, N3)); and
+    u = E u + combine @ (N1, N3, N2, N4).  The matrices are kept on
+    `ops`, so repeated runs, such as tune_T's, build them once.  A run
+    records each sample's state and norm; its unstable coefficients are
+    one product of the states with the projection functional.
 
-    dtau (default stable_dtau(ops), 0.1) is the longest step and must lie
-    in (0, 0.1].  Each sample takes the larger of ceil(0.1/dtau) steps and
-    the 4, 2 or 1 steps that _sample_steps allows the state's size at the
-    start of the sample, so a decaying run lengthens its step as its
-    nonlinear term fades, a growing one keeps 4 steps, and a dtau of at
-    most 0.025 is a fixed step, shortened so that a whole number of steps
+    dtau (default 0.1) is the longest step and must lie in (0, 0.1].
+    Each sample takes the larger of ceil(0.1/dtau) steps and the 4, 2 or
+    1 steps that _sample_steps allows the state's size at the start of
+    the sample, so a decaying run lengthens its step as its nonlinear
+    term fades, a growing one keeps 4 steps, and a dtau of at most 0.025
+    is a fixed step, shortened so that a whole number of steps
     spans each sample.  Nonlinear runs abort (AmplitudeAbort, carrying the
     partial trajectory) once the perturbation norm exceeds 1, the boundary
     of the smallness regime; every run raises OverflowAbort when a sample
@@ -216,26 +219,26 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     if not 0.0 < tau_end < math.inf:
         raise DomainError(
             f"tau_end={tau_end} out of range: need 0 < tau_end < inf")
-    nsub = substeps(stable_dtau(ops) if dtau is None else dtau)
+    nsub = 1 if dtau is None else substeps(dtau)
     if projection is None:
         projection = riesz_projection(ops)
     nsamples = int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
 
     u = np.array(initial, dtype=float)
     u[0] = 0.0
-    taus, states, norms, coeffs = [], [], [], []
+    taus, states, norms = [], [], []
     counts = {}
 
     def record(k, vec):
         taus.append(_SAMPLE_DTAU * k)
         states.append(vec)
         norms.append(state_norm(grid, vec))
-        coeffs.append(unstable_coefficient(vec, projection))
 
     def partial_trajectory():
-        return Trajectory(taus=np.array(taus), states=np.array(states),
+        rows = np.array(states)
+        return Trajectory(taus=np.array(taus), states=rows,
                           norms=np.array(norms),
-                          unstable_coeffs=np.array(coeffs),
+                          unstable_coeffs=rows @ projection.functional,
                           step_counts=dict(counts))
 
     record(0, u)
@@ -248,19 +251,13 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
             steps = max(nsub, _sample_steps(norms[-1], norms[0]))
             if steps != m:
                 m, h = steps, _SAMPLE_DTAU / steps
-                E, reads, stage_reads, combine, last = _step_matrices(ops, m)
+                E, reads, stage, combine = _step_matrices(ops, m)
             for _ in range(m):
                 if nonlinear:
                     r = reads @ u
-                    # round one: (N1, N3) = N(R u, R E2 u)
                     n13 = nonlin_N(params, r[:2 * n])
-                    # round two: (N2, N4) = N(R E2 u + h/2 R E2 k1,
-                    # R E u + h R E2 k3)
-                    n24 = nonlin_N(params, r[n:3 * n] + np.matmul(
-                        stage_reads, n13.reshape(2, n, 1)).ravel())
-                    n13[n:] += n24[:n]
-                    u = r[3 * n:] + combine @ n13
-                    u[:n] += last * n24[n:]
+                    n24 = nonlin_N(params, r[n:3 * n] + stage @ n13)
+                    u = r[3 * n:] + combine @ np.concatenate((n13, n24))
                 else:
                     u = E @ u
             counts[h] = counts.get(h, 0) + m
@@ -279,9 +276,12 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
 
 
 def _step_matrices(ops, steps):
-    """(E, reads, stage_reads, combine, last), the matrices a Lawson step
-    of length h = 0.1/steps reads (see integrate), built once per operator
-    and step and kept in ops.steps under h.
+    """(E, reads, stage, combine), the matrices a Lawson step of length
+    h = 0.1/steps reads (see integrate), built once per operator and step
+    and kept in ops.steps under h.  With R the read u -> A phi2, E2 =
+    e^{hL/2}, E = E2^2, lift x -> (rho x, 0) and S = R E2 lift: reads
+    stacks R, R E2, R E and E; stage is [[h/2 S, 0], [0, h S]]; combine
+    is [h/6 E lift | h/3 E2 lift | h/3 E2 lift | h/6 lift].
 
     The steps 0.05 and 0.1 call no _expm: their e^{hL/2} is the e^{hL}
     of the step half as long, which is built first.  Every other step
@@ -296,16 +296,15 @@ def _step_matrices(ops, steps):
         else:
             E2 = _expm(0.5 * h * ops.L)
         E = E2 @ E2
-        # R u, R E2 u, R E u and E u, R the read u -> A phi2
         reads = np.vstack([avg_A(ops.grid, M[n:])
                            for M in (np.eye(2 * n), E2, E)] + [E])
-        # x -> R E2 (rho x, 0), scaled by h/2 for N1 and by h for N3
-        stage_read = avg_A(ops.grid, E2[n:, :n]) * rho
-        stage_reads = np.stack([(0.5 * h) * stage_read, h * stage_read])
-        # (x, y) -> E (h/6 rho x, 0) + E2 (h/3 rho y, 0)
-        combine = np.hstack([(h / 6.0) * E[:, :n] * rho,
-                             (h / 3.0) * E2[:, :n] * rho])
-        ops.steps[h] = (E, reads, stage_reads, combine, (h / 6.0) * rho)
+        stage = np.kron(np.diag([0.5 * h, h]),
+                        avg_A(ops.grid, E2[n:, :n]) * rho)
+        lift = np.vstack([np.diag(rho), np.zeros((n, n))])
+        third = (h / 3.0) * E2 @ lift
+        combine = np.hstack([(h / 6.0) * E @ lift, third, third,
+                             (h / 6.0) * lift])
+        ops.steps[h] = (E, reads, stage, combine)
         for a in ops.steps[h]:
             a.setflags(write=False)
     return ops.steps[h]
@@ -422,9 +421,9 @@ def _linear_flow_integrals(u, tau_end, ops, projection):
     """The Duhamel integrals of tune_T along the linear flow from the
     stacked state u: (taus, I, J) at every 0.025 up to the last 0.1 sample
     before tau_end, with I(tau) = int_0^tau e^-s l @ (rho N, 0) ds and
-    J(tau) = int_0^tau l @ (rho N', 0) ds at N = N(A phi2(s)), by the
-    cumulative trapezoid rule.  The flow is held whole, (tau_end/0.025 + 1)
-    x 2n floats, so N and N' each take one nonlinear_term call.
+    J(tau) = int_0^tau l @ (rho N', 0) ds at N = N(A phi2(s)), by
+    _cumulative_simpson.  The flow is held whole, (tau_end/0.025 + 1) x 2n
+    floats, so N and N' each take one nonlinear_term call.
     """
     E = _step_matrices(ops, _SUBSTEPS)[0]
     h = _SAMPLE_DTAU / _SUBSTEPS
@@ -439,15 +438,27 @@ def _linear_flow_integrals(u, tau_end, ops, projection):
                               @ projection.functional)
     dn_vals = (nonlinear_term(ops.grid, ops.params, flow, nonlin_dN)
                @ projection.functional)
-    return (taus, _cumulative_trapezoid(n_vals, h),
-            _cumulative_trapezoid(dn_vals, h))
+    return (taus, _cumulative_simpson(n_vals, h),
+            _cumulative_simpson(dn_vals, h))
 
 
-def _cumulative_trapezoid(values, h):
-    """Trapezoid integrals of equally spaced values from the first one to
-    each, starting at 0."""
+def _cumulative_simpson(values, h):
+    """Integrals of equally spaced values from the first one to each,
+    starting at 0: composite Simpson at even indices, and at an odd index
+    the even value before it plus the integral of the quadratic through
+    that value and the next two, h/12 (5 y0 + 8 y1 - y2); a last odd
+    index takes the quadratic through itself and the two values before
+    it, h/12 (-y0 + 8 y1 + 5 y2).  Two values take the trapezoid."""
     out = np.zeros_like(values)
-    np.cumsum(0.5 * h * (values[1:] + values[:-1]), out=out[1:])
+    if values.size == 2:
+        out[1] = 0.5 * h * (values[0] + values[1])
+        return out
+    y0, y1, y2 = values[:-2:2], values[1:-1:2], values[2::2]
+    np.cumsum((h / 3.0) * (y0 + 4.0 * y1 + y2), out=out[2::2])
+    out[1:-1:2] = out[:-2:2] + (h / 12.0) * (5.0 * y0 + 8.0 * y1 - y2)
+    if values.size % 2 == 0:
+        out[-1] = out[-2] + (h / 12.0) * (
+            -values[-3] + 8.0 * values[-2] + 5.0 * values[-1])
     return out
 
 
@@ -500,13 +511,13 @@ def correction_residual(traj, ops, projection):
     coefficient cancels the weighted tail of the projected nonlinearity:
     a(0) + int_0^inf e^{-s} l(N(Phi(s))) ds = 0, l the projection
     functional (P N = l(N) g).  Returns the magnitude of the left side
-    with the integral truncated at the last sample, by the trapezoid rule
-    of tune_T's Duhamel prediction.
+    with the integral truncated at the last sample, by _cumulative_simpson,
+    the rule of tune_T's Duhamel prediction.
     """
     vals = np.exp(-traj.taus) * (
         nonlinear_term(ops.grid, ops.params, traj.states)
         @ projection.functional)
-    integral = float(_cumulative_trapezoid(vals, _SAMPLE_DTAU)[-1])
+    integral = float(_cumulative_simpson(vals, _SAMPLE_DTAU)[-1])
     return abs(traj.unstable_coeffs[0] + integral)
 
 

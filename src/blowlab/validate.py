@@ -317,7 +317,7 @@ def suite_rhs(params, n, seed):
 def suite_integrator(params, n, seed):
     """Richardson self-convergence of the Lawson RK4 step on a smooth run
     at p = 3 and n = 32, whatever params and n: below p = 3 its step error
-    sits at rounding (the ratio reads 0.93, 1.08, 4.08 and 16.48 at
+    sits at rounding (the ratio reads 0.93, 1.08, 4.08 and 16.46 at
     p = 1.25, 1.5, 2 and 3)."""
     p3 = md.params_new(3.0)
     g32 = build_grid(32)
