@@ -1,10 +1,9 @@
-"""Command-line orchestration: spectra, evolutions, energy tables, validation.
+"""Command-line orchestration: spectra, evolutions, validation.
 
 Subcommands
 -----------
 spectrum   eigenvalue quantization vs collocation spectrum, JSON report
 evolve     similarity-coordinate evolution (optionally tuning T), CSV + JSON
-energy     blow-up rate table of the local energy norm, CSV + JSON
 validate   run every invariant suite, one line per check (JSON with --out)
 
 Exit codes: 0 ok, 1 validation failure, 2 domain error, 3 solver failure,
@@ -164,26 +163,6 @@ def cmd_evolve(args):
     return 0
 
 
-def cmd_energy(args):
-    params = md.params_new(args.p, T=args.T)
-    ts, vals, slope = md.energy_blowup(params, args.n)
-    theory = -(5.0 - args.p) / (2.0 * (args.p - 1.0))
-    out = args.out or "energy.csv"
-    with open(out, "w") as fh:
-        fh.write("t,energy_norm\n")
-        for t, val in zip(ts, vals):
-            fh.write(f"{t:.10g},{val:.17g}\n")
-    spath = _summary_path(out)
-    with open(spath, "w") as fh:
-        json.dump({"p": args.p, "T": args.T, "slope": slope,
-                   "slope_theory": theory,
-                   "slope_error": abs(slope - theory)}, fh, indent=2)
-        fh.write("\n")
-    print(f"energy: p={args.p} slope={slope:.6f} theory={theory:.6f} "
-          f"-> {out}, {spath}")
-    return 0
-
-
 def cmd_validate(args):
     params = md.params_new(args.p, eps=args.eps)
     results = []
@@ -246,10 +225,6 @@ def build_parser():
     tune.add_argument("--no-tune", dest="tune", action="store_false")
     p_ev.set_defaults(tune=False)
 
-    p_en = sub.add_parser("energy", help="energy blow-up rate table")
-    common(p_en)
-    p_en.add_argument("--T", type=float, default=1.0)
-
     p_val = sub.add_parser("validate", help="run every invariant suite")
     seeded(p_val)
     return parser
@@ -259,9 +234,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {"spectrum": cmd_spectrum, "evolve": cmd_evolve,
-               "energy": cmd_energy, "validate": cmd_validate}[args.command]
+               "validate": cmd_validate}[args.command]
     try:
-        # spectrum and energy take no seed
+        # spectrum takes no seed
         if getattr(args, "seed", 0) < 0:
             raise DomainError(f"seed={args.seed} out of range: need seed >= 0")
         return handler(args)

@@ -4,7 +4,7 @@ Everything here evaluates explicit formulas on collocation grids: the
 space-homogeneous blow-up solution psi_T, the expanded nonlinearity N, the
 running average A, the initial data maps v/kappa/U relative to psi^1,
 field reconstruction from similarity-coordinate states, and the local
-energy norm on a cone section with its blow-up table.
+energy norm on a cone section.
 
 A similarity-coordinate state is the stacked float vector u = (phi1, phi2)
 of length 2n on the n-point unit-interval grid; phi1 = u[:n] vanishes at
@@ -235,22 +235,6 @@ def energy_norm(fg):
     r = grid.nodes
     first = r * (grid.D @ fg.f) + fg.f
     return float(np.sqrt(grid.integrate(first**2) + grid.integrate(r**2 * fg.g**2)))
-
-
-def energy_blowup(params, n):
-    """Energy norm of psi_T on the shrinking cone [0, T - t] at 46 times t
-    in [0, 0.9], on n-point grids, and the slope of its log against
-    log(T - t), which is -(5 - p)/(2(p - 1)).  Returns (ts, norms, slope).
-    """
-    ts = np.linspace(0.0, 0.9, 46)
-    norms = []
-    for t in ts:
-        pair = RadialPair(f=np.full(n, psi_T(params, t)),
-                          g=np.full(n, psi_T_t(params, t)),
-                          grid=build_grid(n, params.T - t))
-        norms.append(energy_norm(pair))
-    slope = _log_linear_fit(np.log(params.T - ts), norms, (-np.inf, np.inf))[0]
-    return ts, norms, slope
 
 
 def _log_linear_fit(x, values, window):

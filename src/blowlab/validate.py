@@ -95,15 +95,6 @@ def suite_specfun(params, n, seed):
         count += 1
     out.append(_upper("specfun", "contiguous_relation", worst, 1e-9))
 
-    sym = 0.0
-    for _ in range(50):
-        a = rng.uniform(-5.0, 5.0)
-        b = rng.uniform(-5.0, 5.0)
-        c = rng.uniform(0.3, 4.0)
-        z = rng.uniform(0.0, 0.95)
-        sym = _worst(sym, abs(hyp2f1(a, b, c, z) - hyp2f1(b, a, c, z)))
-    out.append(_upper("specfun", "argument_symmetry_exact", sym, 0.0))
-
     overlap = 0.0
     for _ in range(50):
         a = rng.uniform(-3.0, 3.0)

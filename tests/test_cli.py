@@ -3,14 +3,16 @@
 import json
 import math
 import os
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from blowlab import model as md
 from blowlab import spectral as spec
 from blowlab import validate as vl
-from blowlab.cli import main
+from blowlab.cli import build_parser, main
 from blowlab.errors import SolverError
 
 
@@ -68,7 +70,7 @@ def test_spectrum_solver_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command,code", [("validate", 2), ("evolve", 2),
-                                          ("energy", 2), ("spectrum", 0)])
+                                          ("spectrum", 0)])
 def test_exponent_near_one(tmp_path, capsys, command, code):
     # kappa0^(1/(p-1)) overflows a float at p = 1.01; the spectrum never
     # forms it
@@ -98,7 +100,6 @@ def test_bad_numeric_input(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("args", [
     ["spectrum", "--seed"], ["spectrum", "--eps"],
-    ["energy", "--seed"], ["energy", "--eps"],
     # evolve always steps by the state's size; integrate's dtau is not an
     # option
     ["evolve", "--dtau"],
@@ -110,6 +111,18 @@ def test_commands_reject_options_they_do_not_read(capsys, args):
     assert f"unrecognized arguments: {args[1]}" in capsys.readouterr().err
 
 
+def test_readme_command_lines_parse():
+    # the README's examples name only commands and options the parser has;
+    # they are parsed, not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```\n")[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("blowlab ")]
+    commands = {build_parser().parse_args(shlex.split(line)[1:]).command
+                for line in lines}
+    assert commands == {"spectrum", "evolve", "validate"}
+
+
 @pytest.mark.parametrize("out, summary", [
     ("e.csv", "e.summary.json"),
     ("run.v2/energy", "run.v2/energy.summary.json"),
@@ -118,7 +131,8 @@ def test_commands_reject_options_they_do_not_read(capsys, args):
 def test_summary_beside_output(tmp_path, monkeypatch, out, summary):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.v2").mkdir()
-    assert run(["energy", "--p", "3", "--n", "32", "--out", out]) == 0
+    assert run(["evolve", "--p", "3", "--n", "32", "--tau-end", "0.5",
+                "--no-tune", "--out", out]) == 0
     written = {str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")
                if f.is_file()}
     assert written == {os.path.normpath(out), summary}
@@ -181,15 +195,6 @@ def test_evolve_tuned_summary(tmp_path):
     assert integrator == {"scheme": "lawson-rk4", "substep": 0.025,
                           "steps": sum(by_substep.values())}
     assert integrator["steps"] < 4 * 60
-
-
-def test_energy_slope(tmp_path):
-    out = tmp_path / "e.csv"
-    assert run(["energy", "--p", "3", "--n", "48", "--out", str(out)]) == 0
-    summary = json.loads((tmp_path / "e.summary.json").read_text())
-    assert summary["slope_error"] <= 1e-3
-    rows = out.read_text().splitlines()
-    assert rows[0] == "t,energy_norm"
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -316,9 +316,3 @@ def test_energy_norm_background_value():
                          g=np.full(64, md.psi_T_t(p3, 0.0)), grid=g)
     assert md.energy_norm(pair) == pytest.approx(
         2.0 * math.sqrt(2.0) / math.sqrt(3.0), abs=1e-12)
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_energy_blowup_slope(p):
-    _, _, slope = md.energy_blowup(cached_params(p), 48)
-    assert slope == pytest.approx(-(5.0 - p) / (2.0 * (p - 1.0)), abs=1e-10)
