@@ -39,8 +39,7 @@ def cmd_spectrum(args):
     coarse = build_grid(args.n)
     fine = build_grid(int(math.ceil(1.5 * args.n)))
     ops = sp.assemble_L(coarse, params)
-    report = sp.discrete_eigenvalues(ops, (coarse, fine),
-                                     halfplane=args.halfplane)
+    report = sp.discrete_eigenvalues(ops, (coarse, fine))
     out = args.out or "spectrum.json"
     with open(out, "w") as fh:
         fh.write(report.to_json() + "\n")
@@ -77,7 +76,7 @@ def _step_error(traj, ops, grid, params, proj):
 
 def cmd_evolve(args):
     marks = [("start", time.perf_counter())]    # (phase, when it ended)
-    params = md.params_new(args.p, T=args.T, eps=args.eps)
+    params = md.params_new(args.p, T=args.T)
     grid = build_grid(args.n)
     ops = sp.assemble_L(grid, params)
     marks.append(("grid_operator", time.perf_counter()))
@@ -104,7 +103,7 @@ def cmd_evolve(args):
     step_error = _step_error(traj, ops, grid, params, proj)
     marks.append(("step_error", time.perf_counter()))
     summary = {
-        "p": args.p, "n": args.n, "eps": args.eps, "seed": args.seed,
+        "p": args.p, "n": args.n, "eps": params.eps, "seed": args.seed,
         "amplitude": args.amplitude, "tau_end": args.tau_end,
         "T": args.T, "T_star": t_star,
         "mu": params.mu, "rate": None, "fit_amplitude": None,
@@ -143,7 +142,7 @@ def cmd_evolve(args):
         # reconstructed physical field at the last sample; trajectory time
         # is the shifted variable, the unshifted one is tau - log T
         T_used = t_star if t_star is not None else args.T
-        p_used = md.params_new(args.p, T=T_used, eps=args.eps)
+        p_used = md.params_new(args.p, T=T_used)
         tau_phys = float(traj.taus[-1]) - math.log(T_used)
         rec = md.reconstruct_field(traj.states[-1], tau_phys, p_used, grid)
         md.field_to_csv(rec, T_used - math.exp(-tau_phys), args.field_out)
@@ -164,7 +163,7 @@ def cmd_evolve(args):
 
 
 def cmd_validate(args):
-    params = md.params_new(args.p, eps=args.eps)
+    params = md.params_new(args.p)
     results = []
     for suite in vl.SUITES:
         # print each suite as it finishes, so the checks that ran stay on
@@ -197,20 +196,11 @@ def build_parser():
         sp_.add_argument("--n", type=int, default=96, help="grid size")
         sp_.add_argument("--out", type=str, default="")
 
-    def seeded(sp_):
-        common(sp_)
-        sp_.add_argument("--eps", type=float, default=0.1,
-                         help="rate loss epsilon")
-        sp_.add_argument("--seed", type=int, default=0)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalue report (JSON)")
-    common(p_spec)
-    p_spec.add_argument("--halfplane", type=float, default=None,
-                        help="report eigenvalues with Re above this "
-                             "(default: omega_tilde + 0.1)")
+    common(sub.add_parser("spectrum", help="eigenvalue report (JSON)"))
 
     p_ev = sub.add_parser("evolve", help="similarity-coordinate evolution")
-    seeded(p_ev)
+    common(p_ev)
+    p_ev.add_argument("--seed", type=int, default=0)
     p_ev.add_argument("--tau-end", type=float, default=10.0)
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
     p_ev.add_argument("--T", type=float, default=1.0)
@@ -226,7 +216,8 @@ def build_parser():
     p_ev.set_defaults(tune=False)
 
     p_val = sub.add_parser("validate", help="run every invariant suite")
-    seeded(p_val)
+    common(p_val)
+    p_val.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -6,8 +6,10 @@ evaluations of the spectral module, on top of `math.lgamma`/`math.gamma`:
 * rgamma extends 1/Gamma to the whole real line by reflection and returns
   an exact 0.0 at the poles x = 0, -1, -2, ...  This is what makes the
   quantization function vanish exactly at eigenvalue candidates.
-* hyp2f1(a, b, c, z) on z in [0, 1) sums the defining series for z <= 1/2
-  and switches to the z -> 1-z connection formula beyond.
+* hyp2f1(a, b, c, z) on z in [0, 1) sums the defining series for z <= 1/2,
+  or at every z when the smaller of a, b is a non-positive integer (the
+  series is then a polynomial), and switches to the z -> 1-z connection
+  formula beyond.
   When c - a - b is within 1e-6 of an integer m it uses the logarithmic
   limit for m >= 0 (DLMF 15.8.10) and maps m < 0 onto it by Euler's
   transformation (DLMF 15.8.1).  Arguments are canonicalized to a <= b so
@@ -102,17 +104,6 @@ def _series(a, b, c, z):
         f"hyp2f1 series failed tolerance at a={a}, b={b}, c={c}, z={z}")
 
 
-def _terminating(a, b, c, z):
-    """Polynomial case: a is a non-positive integer."""
-    m = int(round(-a))
-    term = 1.0
-    total = 1.0
-    for k in range(m):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-    return total
-
-
 def _connection_regular(a, b, c, z):
     """z -> 1-z linear transformation, c - a - b away from integers."""
     w = 1.0 - z
@@ -168,9 +159,8 @@ def hyp2f1(a, b, c, z):
         raise DomainError(f"hyp2f1: c={c} is a non-positive integer")
     if b < a:  # exact a <-> b symmetry
         a, b = b, a
-    if _is_nonpositive_int(a):
-        return _terminating(a, b, c, z)
-    if z <= 0.5:
+    if z <= 0.5 or _is_nonpositive_int(a):
+        # a = -m ends the series at its exact zero term k = m, at every z
         return _series(a, b, c, z)
     d = c - a - b
     m = round(d)

@@ -227,14 +227,14 @@ def _nearest_eigenvalue(matrix, shift):
     return shift + c
 
 
-def discrete_eigenvalues(ops, grids, halfplane=None, projection=None):
+def discrete_eigenvalues(ops, grids, projection=None):
     """Collocation eigenvalues of L filtered by refinement stability.
 
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
     least 1.5; a (fine, coarse) pair fails that and raises DomainError.
     One dense solve finds the coarse grid's eigenvalues; each one with
-    real part above omega_tilde + 0.1 (or `halfplane` if given) is a shift
-    for `_nearest_eigenvalue` on the fine operator, two LU solves per
+    real part in the window, above omega_tilde + 0.1, is a shift for
+    `_nearest_eigenvalue` on the fine operator, two LU solves per
     eigenvalue.  An entry is flagged stable when that fine eigenvalue lies
     within 1e-6, and its `refinement` is that distance; above about 1e-4
     it is an inverse-iteration estimate of it (see `_nearest_eigenvalue`),
@@ -267,7 +267,7 @@ def discrete_eigenvalues(ops, grids, halfplane=None, projection=None):
     assembled = time.perf_counter()
     ev_c = _eigvals(ops_c.L)
     solved = time.perf_counter()
-    window = params.omega_tilde + 0.1 if halfplane is None else halfplane
+    window = params.omega_tilde + 0.1
     # a discrete eigenvalue that resolves an analytic one on the window's
     # edge may round to either side of it, so both lists are cut below it
     edge = window - _STABILITY_TOL

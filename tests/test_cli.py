@@ -40,17 +40,6 @@ def test_spectrum_json_records_phase_timings(tmp_path):
         assert math.isfinite(timings[key]) and timings[key] >= 0.0
 
 
-def test_spectrum_halfplane_p2(tmp_path):
-    # the default window, omega_tilde + 0.1 = -1.4, holds -1 and 1; a
-    # half-plane above -0.5 holds 1 alone
-    out = tmp_path / "s2.json"
-    assert run(["spectrum", "--p", "2", "--n", "64", "--halfplane", "-0.5",
-                "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["analytic"] == [1.0]
-    assert len(doc["discrete"]) == 1
-
-
 def test_spectrum_rejects_bad_exponent(tmp_path, capsys):
     assert run(["spectrum", "--p", "5", "--n", "64",
                 "--out", str(tmp_path / "x.json")]) == 2
@@ -91,7 +80,6 @@ def test_exponent_near_one(tmp_path, capsys, command, code):
     ["evolve", "--tau-end", "1", "--tune-T"],
     ["evolve", "--amplitude", "nan"],
     ["evolve", "--amplitude", "inf"],
-    ["spectrum", "--halfplane", "nan"],
 ], ids=" ".join)
 def test_bad_numeric_input(tmp_path, capsys, args):
     assert run(args + ["--n", "32", "--out", str(tmp_path / "x.out")]) == 2
@@ -103,6 +91,8 @@ def test_bad_numeric_input(tmp_path, capsys, args):
     # evolve always steps by the state's size; integrate's dtau is not an
     # option
     ["evolve", "--dtau"],
+    # the window is omega_tilde + 0.1 and eps is 0.1, always
+    ["spectrum", "--halfplane"], ["evolve", "--eps"], ["validate", "--eps"],
 ], ids=" ".join)
 def test_commands_reject_options_they_do_not_read(capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -257,7 +257,8 @@ def test_expm_matches_scipy(n, p):
 
 
 def test_import_loads_no_scipy():
-    code = ("import sys, blowlab; "
+    # the command line imports every module of the package
+    code = ("import sys, blowlab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     src = os.path.dirname(os.path.dirname(ev.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -298,7 +298,7 @@ def test_reconstruct_data_roundtrip():
     assert np.abs(vrec.v2 - v2o).max() <= 1e-8
 
 
-def test_energy_norm_constant_pair():
+def test_energy_norm_closed_forms():
     g = cached_grid(48)
     pair = md.RadialPair(f=np.full(48, 0.7), g=np.zeros(48), grid=g)
     assert md.energy_norm(pair) == pytest.approx(0.7, rel=1e-12)
@@ -306,6 +306,14 @@ def test_energy_norm_constant_pair():
     pair = md.RadialPair(f=np.full(48, -0.7), g=np.zeros(48), grid=g2)
     assert md.energy_norm(pair) == pytest.approx(0.7 * math.sqrt(2.0),
                                                  rel=1e-12)
+    # f = r^2, g = 1: r f' + f = 3 r^2, so the norm is sqrt(9 R^5/5 + R^3/3);
+    # a constant f cannot tell it from r f' - f = r^2, which would read
+    # sqrt(R^5/5 + R^3/3)
+    for R in (1.0, 1.5):
+        gR = cached_grid(48, R)
+        pair = md.RadialPair(f=gR.nodes**2, g=np.ones(48), grid=gR)
+        assert md.energy_norm(pair) == pytest.approx(
+            math.sqrt(9 * R**5 / 5 + R**3 / 3), rel=1e-12), R
 
 
 def test_energy_norm_background_value():
