@@ -1,7 +1,8 @@
 """Closed-form model objects for the similarity-coordinate blow-up problem.
 
 Everything here evaluates explicit formulas on collocation grids: the
-space-homogeneous blow-up solution psi_T, the expanded nonlinearity N, the
+space-homogeneous blow-up solution psi_T, the expanded nonlinearity N and
+its derivative, formed without the cancelling k^p (see nonlin_N), the
 running average A, the initial data maps v/kappa/U relative to psi^1,
 field reconstruction from similarity-coordinate states, and the local
 energy norm on a cone section.
@@ -11,6 +12,7 @@ of length 2n on the n-point unit-interval grid; phi1 = u[:n] vanishes at
 rho = 0 (boundary condition).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,9 +21,13 @@ import numpy as np
 from .errors import DegenerateFitError, DomainError
 from .grid import Grid, bary_interp, build_grid
 
-# test hook: flipping this breaks the sign-explicit power in nonlin_N,
-# used to fault-inject the validation suites
+# test hook: any value but 1.0 scales |k+x|^(p-1)(k+x) in N, and the
+# power term of N', by it, to fault-inject the validation suites
 _SIGN_HOOK = 1.0
+
+# N's series sums the reads with |x/k| < 1/10, to rounding in <= 16 terms
+_SERIES_LIMIT, _SERIES_TERMS = 0.1, 16
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,15 @@ class Params:
         except OverflowError:
             raise DomainError(f"p={self.p}: kappa0^(1/(p-1)) overflows a "
                               f"float (kappa0={self.kappa0:.6g})") from None
+
+    @cached_property
+    def binomial_tail(self):
+        """(kappa0/k) C(p, j), j = 2..17: nonlin_N's series coefficients."""
+        p = self.p
+        coef = [self.kappa0 / self.kappa_root * p * (p - 1.0) / 2.0]
+        for j in range(2, _SERIES_TERMS + 1):
+            coef.append(coef[-1] * (p - j) / (j + 1))
+        return tuple(coef)
 
 
 def params_new(p, T=1.0, eps=0.1):
@@ -114,34 +129,60 @@ def psi_T_t(params, t):
 
 
 def nonlin_N(params, x):
-    """Quadratic-and-higher remainder of the expanded power nonlinearity.
-
-    N(x) = |k + x|^(p-1) (k + x) - k^p - p kappa0 x with k = kappa0^(1/(p-1)),
-    written sign-explicitly as copysign(|y|^p, y) to stay real for y < 0.
-    N(0) = 0 and N'(0) = 0.  The integrator calls this twice per step, so
-    the constants are formed as Python floats and the rest works in place.
-    """
+    """N(x) = |k + x|^(p-1) (k + x) - k^p - p kappa0 x, k = kappa0^(1/(p-1)),
+    to a few ulps: x^2 (3k + x) at p = 3, x^2 (x^2 - 2 (k + x)^2 where
+    k + x < 0) at p = 2, else (kappa0/k) x^2 sum_{j>=2} C(p, j) (x/k)^(j-2)
+    by Horner, in as few terms as max |x/k| needs, and the direct formula
+    at |x/k| >= 1/10.  A 0-d x gives a float."""
     p = params.p
     k = params.kappa_root
     x = np.asarray(x, dtype=float)
-    y = k + x
-    out = np.copysign(np.abs(y) ** p, y)
-    out *= _SIGN_HOOK
-    # constant written as |k|^p so the x = 0 cancellation is exact
-    out -= abs(k) ** p
-    out -= (p * params.kappa0) * x
+    if p == 3.0:
+        out = (x + 3.0 * k) * x
+        out *= x
+    elif p == 2.0:
+        out = x * x
+        if x.min() < -k:
+            out = np.where(x < -k, out - 2.0 * (x + k) ** 2, out)
+    else:
+        s = x / k
+        smax = float(np.abs(s).max())
+        far = not smax < _SERIES_LIMIT     # NaN included
+        m = _SERIES_TERMS if far else max(2, math.ceil(
+            math.log(_EPS) / math.log(max(smax, _EPS))))
+        coef = params.binomial_tail
+        out = s * coef[m - 1]
+        out += coef[m - 2]
+        for c in reversed(coef[:m - 2]):
+            out *= s
+            out += c
+        out *= x
+        out *= x
+        if far:
+            out = np.where(np.abs(s) < _SERIES_LIMIT, out,
+                           np.copysign(np.abs(x + k) ** p, x + k) - k ** p
+                           - (p * params.kappa0) * x)
+    if _SIGN_HOOK != 1.0:
+        out = _SIGN_HOOK * out + (_SIGN_HOOK - 1.0) * (
+            k ** p + (p * params.kappa0) * x)
     return out if out.ndim else float(out)
 
 
 def nonlin_dN(params, x):
-    """N'(x) = p |k + x|^(p-1) - p kappa0, the derivative of exactly what
-    nonlin_N computes, for y = k + x of either sign; N'(0) = 0 to
-    rounding."""
+    """N'(x) = p |k + x|^(p-1) - p kappa0, as p kappa0 expm1((p-1)
+    log1p(x/k)) where x/k > -1 and directly elsewhere; N'(0) = 0."""
     p = params.p
+    k = params.kappa_root
     x = np.asarray(x, dtype=float)
-    out = np.abs(params.kappa_root + x) ** (p - 1.0)
-    out *= p * _SIGN_HOOK
-    out -= p * params.kappa0
+    s = x / k
+    low = s <= -1.0
+    out = np.expm1((p - 1.0) * np.log1p(np.where(low, 0.0, s)))
+    out *= p * params.kappa0
+    if low.any():
+        out = np.where(low, p * np.abs(x + k) ** (p - 1.0)
+                       - p * params.kappa0, out)
+    if _SIGN_HOOK != 1.0:
+        out = _SIGN_HOOK * out + (_SIGN_HOOK - 1.0) * (p * params.kappa0)
     return out if out.ndim else float(out)
 
 

@@ -10,6 +10,7 @@ a sign error in the nonlinearity) shows up in the groups that depend on it.
 checks read the same quantity, and none holds by construction.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -287,17 +288,17 @@ def suite_spectral(params, n, seed):
 
 
 def suite_rhs(params, n, seed):
-    """The nonlinear part (rho N(A u2), 0) of the right-hand side that
-    `integrate` steps, against an inline sign-explicit evaluation at the
-    symmetry mode, where A u2 = 1; seed is not used."""
+    """The nonlinear part (rho N(A u2), 0) of `integrate`'s right-hand side
+    at the symmetry mode, where A u2 = 1, against N(1) in decimal, with 20
+    digits beyond the 2 log10 k its terms cancel to; seed is not used."""
     out = []
     grid = build_grid(n)
     gvec = sp.symmetry_mode(grid, params)
     extra = ev.nonlinear_term(grid, params, gvec)
-    k = params.kappa_root
-    y = k + 1.0
-    n_of_one = math.copysign(abs(y) ** params.p, y) \
-        - params.kappa0 ** (params.p / (params.p - 1.0)) - params.p * params.kappa0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 20 + math.ceil(2.0 * math.log10(params.kappa_root))
+        k, p = decimal.Decimal(params.kappa_root), decimal.Decimal(params.p)
+        n_of_one = float((k + 1) ** p - k ** p - p * k ** (p - 1))
     oracle = np.concatenate([grid.nodes * n_of_one, np.zeros(n)])
     oracle[0] = 0.0
     out.append(_upper("rhs", "nonlinear_term_oracle",

@@ -22,25 +22,17 @@ from conftest import P_FREE_SUITES, cached_params
 
 SUITES = [suite for suite in vl.SUITES if suite not in P_FREE_SUITES]
 
-_LIPSCHITZ = {"lipschitz/quadratic_bound_constant",
-              "lipschitz/quadratic_smallness_constant",
-              "lipschitz/lipschitz_constant"}
-_ORACLE = {"rhs/nonlinear_term_oracle"}
-
 PINS = {
-    1.02: _LIPSCHITZ | _ORACLE | {"suite_model raises RuntimeWarning",
-                                  "spectral/wronskian_identity",
-                                  "suite_evolve raises RuntimeWarning"},
-    1.05: _LIPSCHITZ | {"model/energy_homogeneity",
-                        "suite_evolve raises OverflowAbort"},
-    1.1: _LIPSCHITZ | _ORACLE | {"model/energy_homogeneity",
-                                 "suite_evolve raises AmplitudeAbort"},
+    1.02: {"suite_model raises RuntimeWarning", "spectral/wronskian_identity",
+           "suite_evolve raises RuntimeWarning"},
+    1.05: {"model/energy_homogeneity", "suite_evolve raises OverflowAbort"},
+    1.1: {"model/energy_homogeneity", "suite_evolve raises AmplitudeAbort"},
     1.25: {"model/energy_homogeneity", "evolve/xnorm_attained_at_small_tau",
            "evolve/xnorm_over_initial"},
-    1.3: _ORACLE,
-    1.32: _ORACLE,
+    1.3: set(),
+    1.32: set(),
     1.35: set(),
-    1 + 1 / 2.8: _ORACLE,
+    1 + 1 / 2.8: set(),
     1.4: set(),
     1.5: set(),
     1 + 1 / 1.8: set(),

@@ -454,7 +454,7 @@ def test_tune_T_small_perturbation_decays(monkeypatch):
 _T_STAR = {
     1.5: (0.9999998285943468, 1.0000003366660255, 1.0000008464739982,
           1.000000258745074, 0.9999996251933094, 1.0000000072317237,
-          1.0000001131043925, 1.000000247498248, 1.0000003253685723,
+          1.0000001131043925, 1.000000247498248, 1.000000325368572,
           0.9999999368127584),
     2.0: (0.9999638639782599, 1.0000325007164774, 1.0001200885645618,
           1.000045747653673, 0.9999401647550519, 1.0000230288300034,
@@ -462,7 +462,7 @@ _T_STAR = {
           1.000007497348632),
     3.0: (0.9995551115007707, 1.0001080711029544, 1.0010818297706912,
           1.000495495697995, 0.9994352555509548, 1.000481236129608,
-          0.9998919795028868, 1.0002402265566586, 1.0012054575878853,
+          0.9998919795028867, 1.0002402265566586, 1.0012054575878853,
           1.0002506505102922),
 }
 
@@ -475,8 +475,11 @@ def _seeded_v(params, seed, amplitude=1e-3):
 
 
 # integrations over the ten seeds of _T_STAR from T_pred; with the Duhamel
-# integral by the trapezoid rule they read 17, 23 and 23
-_INTEGRATIONS = {1.5: 11, 2.0: 22, 3.0: 21}
+# integral by the trapezoid rule they read 17, 23 and 23.  T_pred and T*
+# sit within an ulp of the zero of a(T), so N's rounding decides some
+# counts: with a correctly rounded N, seed 4 at p = 1.5 and seed 6 at p = 3
+# take one more run than with the cancelling N that read 11 and 21
+_INTEGRATIONS = {1.5: 12, 2.0: 22, 3.0: 22}
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

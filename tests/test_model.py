@@ -2,6 +2,7 @@
 reconstruction, energy norm."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -128,30 +129,76 @@ def test_kappa_root_overflow_raises_on_every_access():
     assert "kappa_root" not in vars(params)
 
 
-def _nonlin_N_reference(params, x):
-    """N(x) = sign(y)|y|^p - |k|^p - p kappa0 x, y = k + x, with every
-    constant formed per call in numpy."""
-    x = np.asarray(x, dtype=float)
-    k = params.kappa_root
-    y = k + x
-    return (np.sign(y) * np.abs(y) ** params.p - np.abs(k) ** params.p
-            - params.p * params.kappa0 * x)
+def _decimal_N(params, xs):
+    """N(x) = sign(y)|y|^p - k^p - p k^(p-1) x, y = k + x, at the float k,
+    in decimal arithmetic: the terms cancel to about 2 log10(k/|x|)
+    digits, and 30 more are kept."""
+    with localcontext() as ctx:
+        ctx.prec = 30 + math.ceil(
+            2.0 * math.log10(params.kappa_root / np.abs(xs).min()))
+        k, p = Decimal(params.kappa_root), Decimal(params.p)
+        kp, slope = k ** p, p * k ** (p - 1)
+        return np.array([float((abs(k + d) ** p).copy_sign(k + d) - kp
+                               - slope * d)
+                         for d in map(Decimal, xs.tolist())])
 
 
-@pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 2.0, 2.5, 3.0])
-def test_nonlin_N_matches_sign_explicit_formula(p):
-    # copysign and Python-float constants give the very same values, at
-    # y = k + x > 0, at y = 0 (x = -k) and at y < 0 (x = -2k)
+@pytest.mark.parametrize("p", [1.02, 1.05, 1.1, 1.25, 1 + 1 / 2.8, 1.5, 1.75,
+                               2.0, 2.5, 3.0], ids=lambda p: f"p{p:.6g}")
+def test_nonlin_N_matches_a_decimal_reference(p):
+    # reads of either sign from 1e-8 to 1, where the direct formula loses
+    # up to 2 log10(k/|x|) digits: passed as one array, where small and
+    # large reads mix (and at p = 2.5, |x/k| < 1/10 and >= 1/10), and one
+    # by one as floats; k > 1 at every p here, so k + x > 0
     params = cached_params(p)
-    k = params.kappa_root
-    mags = np.geomspace(1e-6, k, 400)
-    xs = np.concatenate([mags, -mags, [0.0, -k, -2.0 * k]])
-    assert np.array_equal(md.nonlin_N(params, xs),
-                          _nonlin_N_reference(params, xs))
-    for x in (0.0, 1e-3, -k, -2.0 * k):
+    mags = np.geomspace(1e-8, 1.0, 40)
+    xs = np.concatenate([mags, -mags])
+    ref = _decimal_N(params, xs)
+    assert np.abs(md.nonlin_N(params, xs) / ref - 1.0).max() <= 1e-13
+    for x, want in zip(xs.tolist(), ref):
         got = md.nonlin_N(params, x)
         assert type(got) is float
-        assert got == _nonlin_N_reference(params, x)
+        assert abs(got / want - 1.0) <= 1e-13
+    # at y = k + x = 0 and y = -k, which take the direct formula off p = 2
+    # and 3, and the y < 0 branch at p = 2
+    k = params.kappa_root
+    edge = np.array([-k, -2.0 * k])
+    assert np.abs(md.nonlin_N(params, edge) / _decimal_N(params, edge)
+                  - 1.0).max() <= 1e-13
+
+
+def test_nonlin_N_is_a_polynomial_at_p_2_and_3():
+    # p = 3 (k = sqrt 2): N = x^2 (3k + x) for either sign of k + x;
+    # p = 2 (k = 6): N = x^2, and N = x^2 - 2 y^2 where y = 6 + x < 0
+    xs = np.concatenate([np.linspace(-20.0, 20.0, 401), [-6.0]])
+    p3, p2 = cached_params(3.0), cached_params(2.0)
+    k = p3.kappa_root
+    assert np.array_equal(md.nonlin_N(p3, xs), (xs + 3.0 * k) * xs * xs)
+    y = xs + 6.0
+    assert np.array_equal(md.nonlin_N(p2, xs),
+                          np.where(y < 0.0, xs * xs - 2.0 * y * y, xs * xs))
+    for params in (p3, p2):
+        for x in (0.0, 1e-3, -30.0):
+            assert md.nonlin_N(params, x) == md.nonlin_N(params, [x])[0]
+            assert type(md.nonlin_N(params, x)) is float
+            assert type(md.nonlin_dN(params, x)) is float
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sign_hook_negates_the_power_term(monkeypatch, p):
+    # a hook of -1 negates |k + x|^(p-1)(k + x) in N and its derivative in
+    # N': N -> -N - 2k^p - 2p kappa0 x and N' -> -N' - 2p kappa0
+    params = cached_params(p)
+    k = params.kappa_root
+    scale = p * params.kappa0
+    xs = np.linspace(-0.5, 0.5, 21) * k
+    n, dn = md.nonlin_N(params, xs), md.nonlin_dN(params, xs)
+    monkeypatch.setattr(md, "_SIGN_HOOK", -1.0)
+    flipped = -n - 2.0 * k ** p - 2.0 * scale * xs
+    assert np.abs(md.nonlin_N(params, xs) - flipped).max() \
+        <= 1e-14 * k ** p
+    assert np.abs(md.nonlin_dN(params, xs) - (-dn - 2.0 * scale)).max() \
+        <= 1e-14 * scale
 
 
 def test_nonlin_N_rational_oracle_p2():
