@@ -200,10 +200,12 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     matrices of _step_matrices, applied in two rounds of one nonlin_N call
     on 2n reads each: r = reads @ u; (N1, N3) = N(R u, R E2 u);
     (N2, N4) = N((R E2 u, R E u) + stage @ (N1, N3)); and
-    u = E u + combine @ (N1, N3, N2, N4).  The matrices are kept on
-    `ops`, so repeated runs, such as tune_T's, build them once.  A run
-    records each sample's state and norm; its unstable coefficients are
-    one product of the states with the projection functional.
+    u = E u + combine @ (N1, N3, N2, N4), with r, the second round's reads
+    and (N1, N3, N2, N4) in three buffers allocated once per run; each u is
+    a new array.  The matrices are kept on `ops`, so repeated runs, such as
+    tune_T's, build them once.  A run records each sample's state and
+    norm; its unstable coefficients are one product of the states with the
+    projection functional.
 
     dtau (default 0.1) is the longest step and must lie in (0, 0.1].
     Each sample takes the larger of ceil(0.1/dtau) steps and the 4, 2 or
@@ -243,6 +245,7 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
 
     record(0, u)
     n = grid.n
+    r, t, nn = np.empty(5 * n), np.empty(2 * n), np.empty(4 * n)
     m = None
     # inf and NaN persist, so the guard after each sample sees any overflow
     # of its steps; the steps in between may overflow silently
@@ -254,10 +257,13 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
                 E, reads, stage, combine = _step_matrices(ops, m)
             for _ in range(m):
                 if nonlinear:
-                    r = reads @ u
-                    n13 = nonlin_N(params, r[:2 * n])
-                    n24 = nonlin_N(params, r[n:3 * n] + stage @ n13)
-                    u = r[3 * n:] + combine @ np.concatenate((n13, n24))
+                    np.dot(reads, u, out=r)
+                    nn[:2 * n] = nonlin_N(params, r[:2 * n])
+                    np.dot(stage, nn[:2 * n], out=t)
+                    t += r[n:3 * n]
+                    nn[2 * n:] = nonlin_N(params, t)
+                    u = combine.dot(nn)
+                    u += r[3 * n:]
                 else:
                     u = E @ u
             counts[h] = counts.get(h, 0) + m
@@ -281,7 +287,9 @@ def _step_matrices(ops, steps):
     and kept in ops.steps under h.  With R the read u -> A phi2, E2 =
     e^{hL/2}, E = E2^2, lift x -> (rho x, 0) and S = R E2 lift: reads
     stacks R, R E2, R E and E; stage is [[h/2 S, 0], [0, h S]]; combine
-    is [h/6 E lift | h/3 E2 lift | h/3 E2 lift | h/6 lift].
+    is [h/6 E lift | h/3 E2 lift | h/3 E2 lift | h/6 lift], filled into
+    zeroed arrays with R's block A of the n identity and M lift taken as
+    M's phi1 columns scaled by rho, so S is rho times R E2's phi1 columns.
 
     The steps 0.05 and 0.1 call no _expm: their e^{hL/2} is the e^{hL}
     of the step half as long, which is built first.  Every other step
@@ -296,14 +304,20 @@ def _step_matrices(ops, steps):
         else:
             E2 = _expm(0.5 * h * ops.L)
         E = E2 @ E2
-        reads = np.vstack([avg_A(ops.grid, M[n:])
-                           for M in (np.eye(2 * n), E2, E)] + [E])
-        stage = np.kron(np.diag([0.5 * h, h]),
-                        avg_A(ops.grid, E2[n:, :n]) * rho)
-        lift = np.vstack([np.diag(rho), np.zeros((n, n))])
-        third = (h / 3.0) * E2 @ lift
-        combine = np.hstack([(h / 6.0) * E @ lift, third, third,
-                             (h / 6.0) * lift])
+        reads = np.zeros((5 * n, 2 * n))
+        reads[:n, n:] = avg_A(ops.grid, np.eye(n))
+        reads[n:2 * n] = avg_A(ops.grid, E2[n:])
+        reads[2 * n:3 * n] = avg_A(ops.grid, E[n:])
+        reads[3 * n:] = E
+        S = reads[n:2 * n, :n] * rho
+        stage = np.zeros((2 * n, 2 * n))
+        stage[:n, :n] = (0.5 * h) * S
+        stage[n:, n:] = h * S
+        combine = np.zeros((2 * n, 4 * n))
+        combine[:, :n] = ((h / 6.0) * E[:, :n]) * rho
+        combine[:, n:2 * n] = combine[:, 2 * n:3 * n] = (
+            ((h / 3.0) * E2[:, :n]) * rho)
+        combine[np.arange(n), np.arange(3 * n, 4 * n)] = (h / 6.0) * rho
         ops.steps[h] = (E, reads, stage, combine)
         for a in ops.steps[h]:
             a.setflags(write=False)
@@ -423,7 +437,8 @@ def _linear_flow_integrals(u, tau_end, ops, projection):
     before tau_end, with I(tau) = int_0^tau e^-s l @ (rho N, 0) ds and
     J(tau) = int_0^tau l @ (rho N', 0) ds at N = N(A phi2(s)), by
     _cumulative_simpson.  The flow is held whole, (tau_end/0.025 + 1) x 2n
-    floats, so N and N' each take one nonlinear_term call.
+    floats, each row written in place as E times the last, so N and N'
+    each take one nonlinear_term call.
     """
     E = _step_matrices(ops, _SUBSTEPS)[0]
     h = _SAMPLE_DTAU / _SUBSTEPS
@@ -432,7 +447,7 @@ def _linear_flow_integrals(u, tau_end, ops, projection):
     flow[0] = u
     flow[0, 0] = 0.0
     for k in range(1, nsteps + 1):
-        np.matmul(E, flow[k - 1], out=flow[k])
+        np.dot(E, flow[k - 1], out=flow[k])
     taus = h * np.arange(nsteps + 1)
     n_vals = np.exp(-taus) * (nonlinear_term(ops.grid, ops.params, flow)
                               @ projection.functional)

@@ -102,13 +102,11 @@ def build_grid(n, length=1.0):
     return Grid(n=n, length=float(length), nodes=nodes, D=D, V=V, w=w, bary=bary)
 
 
-def bary_interp(grid, values, targets):
-    """Barycentric interpolation of nodal values to target points.
-
-    Exact on grid nodes; spectrally accurate for smooth data.  Targets must
-    lie within [0, length].
-    """
-    values = np.asarray(values, dtype=float)
+def bary_interpolator(grid, targets):
+    """Barycentric interpolation from the nodes to targets in [0, length],
+    as a function of the nodal values: the weights are built once and
+    applied to each value array by its own matvec.  Exact on grid nodes;
+    spectrally accurate for smooth data."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if targets.min() < -1e-12 or targets.max() > grid.length + 1e-12:
         raise DomainError(
@@ -117,7 +115,18 @@ def bary_interp(grid, values, targets):
     exact = np.abs(diff) <= 1e-300
     diff[exact] = 1.0
     weights = grid.bary[None, :] / diff
-    out = (weights @ values) / weights.sum(axis=1)
+    sums = weights.sum(axis=1)
     hit_rows, hit_cols = np.nonzero(exact)
-    out[hit_rows] = values[hit_cols]
-    return out
+
+    def interpolate(values):
+        values = np.asarray(values, dtype=float)
+        out = (weights @ values) / sums
+        out[hit_rows] = values[hit_cols]
+        return out
+
+    return interpolate
+
+
+def bary_interp(grid, values, targets):
+    """Barycentric interpolation of nodal values to target points."""
+    return bary_interpolator(grid, targets)(values)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError
-from .grid import Grid, bary_interp, build_grid
+from .grid import Grid, bary_interpolator, build_grid
 
 # test hook: any value but 1.0 scales |k+x|^(p-1)(k+x) in N, and the
 # power term of N', by it, to fault-inject the validation suites
@@ -221,15 +221,16 @@ def U_map(v, T, params, grid):
     """Initial state U(v, T)(rho) = T^(2/(p-1)) [v(T rho) + kappa(T rho)] - kappa(rho).
 
     v lives on its own grid over [0, 3/2] and is resampled to the points
-    T*rho by barycentric interpolation; the result is the stacked state
-    (phi1, phi2) on the unit-interval grid.
+    T*rho by barycentric interpolation, one set of weights for both
+    components; the result is the stacked state (phi1, phi2) on the
+    unit-interval grid.
     """
     if not 0.5 < T < 1.5:
         raise DomainError(f"T={T} out of range (1/2, 3/2)")
     rho = grid.nodes
     scaled = T * rho
-    vs = np.concatenate([bary_interp(v.grid, v.v1, scaled),
-                         bary_interp(v.grid, v.v2, scaled)])
+    interp = bary_interpolator(v.grid, scaled)
+    vs = np.concatenate([interp(v.v1), interp(v.v2)])
     amp = T ** (2.0 / (params.p - 1.0))
     u = amp * (vs + _kappa_pair(params, scaled)) - _kappa_pair(params, rho)
     u[0] = 0.0

@@ -207,6 +207,93 @@ def test_coarse_step_matrices_square_the_finer_ones():
             <= 1e-13 * np.abs(ref).sum(axis=0).max()
 
 
+def _stacked_step_matrices(ops, steps):
+    """_step_matrices as built by stacking blocks: np.vstack of avg_A of
+    the 2n identity, np.kron for stage and products with lift for
+    combine."""
+    h = ev._SAMPLE_DTAU / steps
+    n = ops.grid.n
+    rho = ops.grid.nodes
+    if steps in (1, 2):
+        E2 = _stacked_step_matrices(ops, 2 * steps)[0]
+    else:
+        E2 = ev._expm(0.5 * h * ops.L)
+    E = E2 @ E2
+    reads = np.vstack([md.avg_A(ops.grid, M[n:])
+                       for M in (np.eye(2 * n), E2, E)] + [E])
+    stage = np.kron(np.diag([0.5 * h, h]),
+                    md.avg_A(ops.grid, E2[n:, :n]) * rho)
+    lift = np.vstack([np.diag(rho), np.zeros((n, n))])
+    third = (h / 3.0) * E2 @ lift
+    combine = np.hstack([(h / 6.0) * E @ lift, third, third,
+                         (h / 6.0) * lift])
+    return E, reads, stage, combine
+
+
+@pytest.mark.parametrize("n", [16, 48, 64])
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.5, 3.0])
+def test_step_matrices_keep_the_bits_of_the_stacked_build(n, p):
+    # the blocks are filled into zeroed arrays, R from avg_A of the n
+    # identity, S from the R E2 block of reads and M lift as a column
+    # scaling, with the same arithmetic as the stacked build
+    params, grid = cached_params(p), cached_grid(n)
+    ops = sp.assemble_L(grid, params)
+    for steps in (1, 2, 4, 5):
+        got = ev._step_matrices(ops, steps)
+        want = _stacked_step_matrices(ops, steps)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def _stacked_step_states(initial, tau_end, ops, grid, params, dtau=None):
+    """integrate's samples as a step computed them with fresh arrays: r =
+    reads @ u, stage @ n13 added to its reads, and combine applied to
+    np.concatenate((n13, n24)), on _stacked_step_matrices."""
+    nsub = 1 if dtau is None else ev.substeps(dtau)
+    n = grid.n
+    built = {}
+    u = np.array(initial, dtype=float)
+    u[0] = 0.0
+    states, norms = [u], [md.state_norm(grid, u)]
+    for _ in range(int(math.floor(tau_end / ev._SAMPLE_DTAU + 1e-9))):
+        m = max(nsub, ev._sample_steps(norms[-1], norms[0]))
+        if m not in built:
+            built[m] = _stacked_step_matrices(ops, m)
+        E, reads, stage, combine = built[m]
+        for _ in range(m):
+            r = reads @ u
+            n13 = md.nonlin_N(params, r[:2 * n])
+            n24 = md.nonlin_N(params, r[n:3 * n] + stage @ n13)
+            u = r[3 * n:] + combine @ np.concatenate((n13, n24))
+        states.append(u)
+        norms.append(md.state_norm(grid, u))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("case", ["decaying", "growing", "fixed"])
+def test_integrate_keeps_the_bits_of_the_stacked_step(case):
+    # the step reads into buffers allocated once per run and adds in
+    # place; its states equal the fresh-array step's bit for bit, for a
+    # decaying run through all three step sizes, a growing one at the
+    # finest step and the fixed step dtau = 0.02
+    n = 64 if case == "growing" else 48
+    params, grid, ops, proj = _setup(3.0, n=n)
+    dtau = 0.02 if case == "fixed" else None
+    if case == "growing":
+        fg = md.random_polynomial_data(cached_grid(n, 1.5),
+                                       np.random.default_rng(0), params,
+                                       amplitude=1e-3)
+        u = md.U_map(md.data_to_v(fg, params), 1.0, params, grid)
+    else:
+        u = _decaying_state(grid, params, proj)
+    traj = ev.integrate(u, 4.0, ops, grid, params, dtau=dtau,
+                        projection=proj)
+    sizes = {"decaying": 3, "growing": 1, "fixed": 1}[case]
+    assert len(traj.step_counts) == sizes
+    want = _stacked_step_states(u, 4.0, ops, grid, params, dtau=dtau)
+    assert np.array_equal(traj.states, want)
+
+
 def test_growing_run_keeps_the_finest_step():
     # the sweep's untuned configuration at p = 3 grows like e^tau, so the
     # default stepping takes 4 steps per sample throughout and is the fixed

@@ -317,6 +317,29 @@ def test_U_map_T_derivative_is_symmetry_mode():
     assert np.allclose((up[64:] - dn[64:]) / (2 * h), coef, atol=1e-8)
 
 
+@pytest.mark.parametrize("n, p", [(48, 1.5), (48, 3.0), (64, 1.5),
+                                  (64, 3.0)])
+def test_U_map_keeps_the_bits_of_one_interpolation_per_component(n, p):
+    # U_map builds the barycentric weights once for v1 and v2; the parent
+    # expression, two bary_interp calls, gives the same bits
+    params, g = cached_params(p), cached_grid(n)
+    fg = md.random_polynomial_data(cached_grid(n, 1.5),
+                                   np.random.default_rng(0), params,
+                                   amplitude=1e-3)
+    v = md.data_to_v(fg, params)
+    t_star = {1.5: 0.9999998285943468, 3.0: 0.9995551115007707}[p]
+    for T in (0.9, t_star, 1.0, 1.2):
+        rho = g.nodes
+        scaled = T * rho
+        vs = np.concatenate([bary_interp(v.grid, v.v1, scaled),
+                             bary_interp(v.grid, v.v2, scaled)])
+        amp = T ** (2.0 / (params.p - 1.0))
+        want = (amp * (vs + md._kappa_pair(params, scaled))
+                - md._kappa_pair(params, rho))
+        want[0] = 0.0
+        assert np.array_equal(md.U_map(v, T, params, g), want)
+
+
 def test_reconstruct_zero_state_gives_background():
     p3 = cached_params(3.0)
     g = cached_grid(64)
