@@ -35,7 +35,7 @@ import numpy as np
 from . import model
 from .errors import (AmplitudeAbort, DomainError, NoSignChangeError,
                      NonConvergenceError, OverflowAbort, StepSizeError)
-from .grid import bary_interp
+from .grid import bary_interpolator
 from .model import avg_A, nonlin_dN, nonlin_N, state_norm
 from .spectral import riesz_projection
 
@@ -290,6 +290,8 @@ def _step_matrices(ops, steps):
     is [h/6 E lift | h/3 E2 lift | h/3 E2 lift | h/6 lift], filled into
     zeroed arrays with R's block A of the n identity and M lift taken as
     M's phi1 columns scaled by rho, so S is rho times R E2's phi1 columns.
+    E is computed into the last 2n rows of reads and returned as that
+    view, so each step size holds it once.
 
     The steps 0.05 and 0.1 call no _expm: their e^{hL/2} is the e^{hL}
     of the step half as long, which is built first.  Every other step
@@ -303,12 +305,11 @@ def _step_matrices(ops, steps):
             E2 = _step_matrices(ops, 2 * steps)[0]
         else:
             E2 = _expm(0.5 * h * ops.L)
-        E = E2 @ E2
         reads = np.zeros((5 * n, 2 * n))
+        E = np.matmul(E2, E2, out=reads[3 * n:])
         reads[:n, n:] = avg_A(ops.grid, np.eye(n))
         reads[n:2 * n] = avg_A(ops.grid, E2[n:])
         reads[2 * n:3 * n] = avg_A(ops.grid, E[n:])
-        reads[3 * n:] = E
         S = reads[n:2 * n, :n] * rho
         stage = np.zeros((2 * n, 2 * n))
         stage[:n, :n] = (0.5 * h) * S
@@ -564,8 +565,8 @@ def physical_oracle(fg, params, t_end, nr=4096):
             f"proximity)")
     dr = T / nr
     r = np.linspace(0.0, T, nr + 1)
-    f = bary_interp(fg.grid, fg.f, r)
-    g = bary_interp(fg.grid, fg.g, r)
+    interpolate = bary_interpolator(fg.grid, r)
+    f, g = interpolate(fg.f), interpolate(fg.g)
     p = params.p
     if t_end <= 0.0:
         return OracleSample(t=0.0, r=r, psi=f.copy(), psi_t=g.copy())

@@ -126,7 +126,3 @@ def bary_interpolator(grid, targets):
 
     return interpolate
 
-
-def bary_interp(grid, values, targets):
-    """Barycentric interpolation of nodal values to target points."""
-    return bary_interpolator(grid, targets)(values)

@@ -20,7 +20,6 @@ terms.  Complex parameters and z >= 1 are out of scope.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 
@@ -65,26 +64,6 @@ def _digamma(x):
         1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (
             1.0 / 132.0 - inv2 * 691.0 / 32760.0)))))
     return acc + math.log(x) - 0.5 / x - tail
-
-
-@dataclass(frozen=True)
-class HypParams:
-    """Hypergeometric parameter triple (a, b, c).
-
-    For the eigenvalue problem of the linearized generator,
-    a = (lam - 2)/2, b = (lam + (p+3)/(p-1))/2, c = 1/2; the spectral
-    module never issues a call with c a non-positive integer.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    @classmethod
-    def for_eigenvalue(cls, lam, p):
-        return cls(a=0.5 * (lam - 2.0),
-                   b=0.5 * (lam + (p + 3.0) / (p - 1.0)),
-                   c=0.5)
 
 
 def _is_nonpositive_int(x):

@@ -6,12 +6,15 @@ The generator splits as L = L0 + L' with
     L' u = (p kappa0 int_0^rho u2,  0)
 
 discretized by Chebyshev collocation and acting on stacked states
-u = (u1, u2).  The rho = 0 boundary condition u1(0) = 0 is enforced by
-replacing the first row of L with a penalty row -c e0, c = max(50,
-2/(p-1) + 10); this pins a single artificial eigenvalue at -c and leaves
-all admissible eigenvectors and the Riesz projection untouched.  For every
-p it lies at least 10.6 left of the reported window Re(lam) > omega_tilde
-+ 0.1 (omega_tilde = 1/2 - 2/(p-1)), and c = 50 for p >= 1.05.
+u = (u1, u2).  `free_part` builds L0, which only its dissipativity bound
+omega_tilde is read from; `assemble_L` adds L' to that array in place,
+and only L is kept.  The rho = 0 boundary condition u1(0) = 0 is
+enforced by replacing the first row of L with a penalty row -c e0,
+c = max(50, 2/(p-1) + 10); this pins a single artificial eigenvalue at
+-c and leaves all admissible eigenvectors and the Riesz projection
+untouched.  For every p it lies at least 10.6 left of the reported
+window Re(lam) > omega_tilde + 0.1 (omega_tilde = 1/2 - 2/(p-1)), and
+c = 50 for p >= 1.05.
 
 Raw eigenvalues of the discretization are untrusted: the continuous part
 of the spectrum produces resolution-dependent values, so only eigenvalues
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .grid import Grid
 from .model import Params
-from .specfun import HypParams, hyp2f1, rgamma
+from .specfun import hyp2f1, rgamma
 
 _BOUNDARY_PENALTY = 50.0
 _STABILITY_TOL = 1e-6
@@ -43,12 +46,11 @@ _STABILITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OperatorMatrices:
-    """Dense collocation matrices of the linearized generator: the free
-    part L0 and L itself, L0 plus the Volterra block p kappa0 V acting
-    phi2 -> phi1, with the rho=0 penalty row.  `steps` maps a Lawson step
-    h to the matrices evolve.integrate steps with, built on first use."""
+    """Dense collocation matrix of the linearized generator L = L0 + L',
+    the Volterra block p kappa0 V acting phi2 -> phi1 added to the free
+    part, with the rho=0 penalty row.  `steps` maps a Lawson step h to
+    the matrices evolve.integrate steps with, built on first use."""
 
-    L0: np.ndarray    # free transport part, no boundary condition
     L: np.ndarray     # L0 + L' with the rho=0 penalty row
     grid: Grid
     params: Params
@@ -56,26 +58,36 @@ class OperatorMatrices:
                         compare=False)
 
 
-def assemble_L(grid, params):
-    """Assemble L0 and the boundary-corrected L = L0 + L' on a grid."""
+def free_part(grid, params):
+    """The free transport part L0 of the generator on a grid, without the
+    boundary row: [[-rho D - c, D], [D, -rho D - c]], c = 2/(p-1)."""
     n = grid.n
-    c = 2.0 / (params.p - 1.0)
     advect = -grid.nodes[:, None] * grid.D    # -diag(rho) D
-    advect.flat[::n + 1] -= c
-    L0 = np.block([[advect, grid.D], [grid.D, advect]])
-    L = L0.copy()
+    advect.flat[::n + 1] -= 2.0 / (params.p - 1.0)
+    return np.block([[advect, grid.D], [grid.D, advect]])
+
+
+def assemble_L(grid, params):
+    """Assemble the boundary-corrected L = L0 + L' on a grid, in place in
+    the array free_part returns."""
+    n = grid.n
+    L = free_part(grid, params)
     L[:n, n:] += params.p * params.kappa0 * grid.V
     L[0, :] = 0.0
-    L[0, 0] = -max(_BOUNDARY_PENALTY, c + 10.0)
-    for a in (L0, L):
-        a.setflags(write=False)
-    return OperatorMatrices(L0=L0, L=L, grid=grid, params=params)
+    L[0, 0] = -max(_BOUNDARY_PENALTY, 2.0 / (params.p - 1.0) + 10.0)
+    L.setflags(write=False)
+    return OperatorMatrices(L=L, grid=grid, params=params)
 
 
 def symmetry_mode(grid, params):
     """Eigenvector of L at eigenvalue 1: g = ((p+1)/(p-1) rho, 1), stacked."""
     q = (params.p + 1.0) / (params.p - 1.0)
     return np.concatenate([q * grid.nodes, np.ones(grid.n)])
+
+
+def _hyp_params(lam, p):
+    """Hypergeometric parameters (a, b, c) of the eigenvalue problem at lam."""
+    return 0.5 * (lam - 2.0), 0.5 * (lam + (p + 3.0) / (p - 1.0)), 0.5
 
 
 def quantization_Q(lam, params):
@@ -88,8 +100,8 @@ def quantization_Q(lam, params):
     if not lam > params.omega_tilde:
         raise DomainError(
             f"lam={lam} out of range: need lam > omega_tilde={params.omega_tilde}")
-    hp = HypParams.for_eigenvalue(lam, params.p)
-    return rgamma(hp.a + 1.0 - hp.c) * rgamma(hp.b + 1.0 - hp.c)
+    a, b, c = _hyp_params(lam, params.p)
+    return rgamma(a + 1.0 - c) * rgamma(b + 1.0 - c)
 
 
 def analytic_eigenvalues(params, re_min):
@@ -310,11 +322,11 @@ def eigenfunction_analytic(lam, params, grid):
             raise DomainError(
                 f"lam={lam} is the logarithmically degenerate point 1 - 2/(p-1)")
         raise DomainError(f"lam={lam} is not an analytic eigenvalue")
-    hp = HypParams.for_eigenvalue(lam, params.p)
+    a, b, _ = _hyp_params(lam, params.p)
     rho = grid.nodes
     out = np.empty(grid.n)
     out[0] = 0.0
     for i in range(1, grid.n):
         z = min(rho[i] ** 2, 1.0 - 1e-14)
-        out[i] = rho[i] * hyp2f1(hp.a + 0.5, hp.b + 0.5, 1.5, z)
+        out[i] = rho[i] * hyp2f1(a + 0.5, b + 0.5, 1.5, z)
     return out

@@ -146,6 +146,31 @@ def test_evolve_untuned_growth_aborts_with_partial_output(tmp_path):
     assert summary["growth_rate"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_evolve_field_out_is_the_tuned_background_at_the_last_sample(
+        tmp_path):
+    # the last sample, tau = 4, of the tuned run sits at t = T*(1 - e^-4)
+    # on r in [0, T* - t], where psi and psi_t read psi^T* and its
+    # t-derivative to 8.7e-6 and 1.7e-5
+    field = tmp_path / "f.csv"
+    assert run(["evolve", "--p", "3", "--n", "32", "--tune-T", "--tau-end",
+                "4", "--out", str(tmp_path / "t.csv"),
+                "--field-out", str(field)]) == 0
+    t_star = json.loads((tmp_path / "t.summary.json").read_text())["T_star"]
+    header, *rows = field.read_text().splitlines()
+    assert header == "t,r,psi,psi_t" and len(rows) == 32
+    t, r, psi, psi_t = (list(col) for col in
+                        zip(*([float(x) for x in row.split(",")]
+                              for row in rows)))
+    t_end = t_star * (1.0 - math.exp(-4.0))
+    assert all(f"{value:.10g}" == f"{t_end:.10g}" for value in t)
+    assert r[0] == 0.0 and r == sorted(r)
+    assert r[-1] == pytest.approx(t_star - t_end, rel=1e-14)
+    params = md.params_new(3.0, T=t_star)
+    assert psi == pytest.approx([md.psi_T(params, t_end)] * 32, rel=1e-4)
+    assert psi_t == pytest.approx([md.psi_T_t(params, t_end)] * 32,
+                                  rel=1e-4)
+
+
 def test_evolve_tuned_summary(tmp_path):
     out = tmp_path / "t.csv"
     start = time.perf_counter()

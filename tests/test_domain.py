@@ -1,9 +1,11 @@
 """The domain table of `blowlab validate` as a standing test: every suite
 that reads p, at n = 96, over exponents across 1 < p <= 3.
 
-For each p the test asserts that the failing checks, as "suite/check",
-plus the exception each suite stops with, as "suite_x raises Name", equal
-the pinned set in PINS.  A pin is a record, not a pass:
+For each p the test asserts that every suite that returns gives the check
+names pinned in `CHECK_NAMES` (conftest.py), in order, and that the
+failing checks, as "suite/check", plus the exception each suite stops
+with, as "suite_x raises Name", equal the pinned set in PINS.  A pin is a
+record, not a pass:
 - a pin shrinks only when a change fixes the failure;
 - a pin grows only together with a FOUND line in CHANGES.md that names it;
 - no bound changes to make a pin go away.
@@ -18,7 +20,7 @@ exceptions they raise; the warning is not filtered.  `suite_specfun` and
 import pytest
 
 from blowlab import validate as vl
-from conftest import P_FREE_SUITES, cached_params
+from conftest import CHECK_NAMES, P_FREE_SUITES, cached_params
 
 SUITES = [suite for suite in vl.SUITES if suite not in P_FREE_SUITES]
 
@@ -49,14 +51,17 @@ PINS = {
 def test_failures_match_the_pinned_table(p):
     params = cached_params(p)
     found = {}
+    names = {}
     for suite in SUITES:
         try:
             results = suite(params, 96, 0)
         except Exception as exc:
             found[f"{suite.__name__} raises {type(exc).__name__}"] = str(exc)
         else:
+            names[suite.__name__] = tuple(res.name for res in results)
             found.update((f"{res.suite}/{res.name}", res.line())
                          for res in results if not res.ok)
+    assert names == {name: CHECK_NAMES[name] for name in names}
     new = [found[key] for key in sorted(found.keys() - PINS[p])]
     fixed = sorted(PINS[p] - found.keys())
     assert not new and not fixed, (

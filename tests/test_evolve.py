@@ -40,17 +40,6 @@ def test_rhs_linear_on_symmetry_mode():
     assert md.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
 
 
-def test_rhs_nonlinear_extra_term():
-    # A(phi2) = 1 on the symmetry mode, so the extra term is rho N(1)
-    params, grid, ops, _ = _setup()
-    gvec = sp.symmetry_mode(grid, params)
-    extra = _rhs(gvec, ops, grid, params) - ops.L @ gvec
-    expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
-                             np.zeros(48)])
-    expect[0] = 0.0
-    assert np.abs(extra - expect).max() <= 1e-12
-
-
 def test_integrate_symmetry_mode_grows_exponentially():
     params, grid, ops, proj = _setup()
     gvec = sp.symmetry_mode(grid, params)
@@ -243,6 +232,19 @@ def test_step_matrices_keep_the_bits_of_the_stacked_build(n, p):
         want = _stacked_step_matrices(ops, steps)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def test_each_step_holds_its_propagator_once():
+    # E is the last 2n rows of reads, not a second array
+    params, grid = cached_params(3.0), cached_grid(48)
+    ops = sp.assemble_L(grid, params)
+    for steps in (1, 2, 4):
+        ev._step_matrices(ops, steps)
+    assert len(ops.steps) == 3
+    for E, reads, _, _ in ops.steps.values():
+        assert np.shares_memory(E, reads)
+        assert E.base is reads and E.shape == (96, 96)
+        assert not E.flags.writeable
 
 
 def _stacked_step_states(initial, tau_end, ops, grid, params, dtau=None):

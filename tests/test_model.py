@@ -10,9 +10,10 @@ import pytest
 
 from blowlab import evolve as ev
 from blowlab import model as md
+from blowlab import spectral as sp
 from blowlab.errors import DomainError
-from blowlab.grid import bary_interp
-from conftest import cached_grid, cached_params
+from blowlab.grid import bary_interpolator
+from conftest import cached_grid, cached_ops, cached_params
 
 
 def test_params_p3():
@@ -221,6 +222,15 @@ def test_nonlin_n():
     assert term[0] == 0.0 and not term[48:].any()
     assert term[1:48] == pytest.approx(
         grid.nodes[1:] * (3.0 * math.sqrt(2.0) + 1.0), rel=1e-13)
+    # the same term on the symmetry mode, read off the right-hand side
+    # L u + (rho N(A phi2), 0) that integrate steps
+    L = cached_ops(3.0, 48).L
+    gvec = sp.symmetry_mode(grid, p3)
+    extra = (L @ gvec + ev.nonlinear_term(grid, p3, gvec)) - L @ gvec
+    expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
+                             np.zeros(48)])
+    expect[0] = 0.0
+    assert np.abs(extra - expect).max() <= 1e-12
 
 
 def test_nonlin_n_japanese_bracket_bound():
@@ -320,8 +330,8 @@ def test_U_map_T_derivative_is_symmetry_mode():
 @pytest.mark.parametrize("n, p", [(48, 1.5), (48, 3.0), (64, 1.5),
                                   (64, 3.0)])
 def test_U_map_keeps_the_bits_of_one_interpolation_per_component(n, p):
-    # U_map builds the barycentric weights once for v1 and v2; the parent
-    # expression, two bary_interp calls, gives the same bits
+    # U_map builds the barycentric weights once for v1 and v2; weights
+    # built once per component give the same bits
     params, g = cached_params(p), cached_grid(n)
     fg = md.random_polynomial_data(cached_grid(n, 1.5),
                                    np.random.default_rng(0), params,
@@ -331,8 +341,8 @@ def test_U_map_keeps_the_bits_of_one_interpolation_per_component(n, p):
     for T in (0.9, t_star, 1.0, 1.2):
         rho = g.nodes
         scaled = T * rho
-        vs = np.concatenate([bary_interp(v.grid, v.v1, scaled),
-                             bary_interp(v.grid, v.v2, scaled)])
+        vs = np.concatenate([bary_interpolator(v.grid, scaled)(v.v1),
+                             bary_interpolator(v.grid, scaled)(v.v2)])
         amp = T ** (2.0 / (params.p - 1.0))
         want = (amp * (vs + md._kappa_pair(params, scaled))
                 - md._kappa_pair(params, rho))
@@ -362,8 +372,8 @@ def test_reconstruct_data_roundtrip():
     state = md.U_map(vp, T, pT, g)
     rec = md.reconstruct_field(state, -math.log(T), pT, g)
     vrec = md.data_to_v(rec, pT)
-    v1o = bary_interp(gd, vp.v1, rec.grid.nodes)
-    v2o = bary_interp(gd, vp.v2, rec.grid.nodes)
+    interpolate = bary_interpolator(gd, rec.grid.nodes)
+    v1o, v2o = interpolate(vp.v1), interpolate(vp.v2)
     assert np.abs(vrec.v1 - v1o).max() <= 1e-8
     assert np.abs(vrec.v2 - v2o).max() <= 1e-8
 

@@ -10,8 +10,9 @@ import pytest
 import scipy.special as sps
 
 from blowlab.errors import DomainError
-from blowlab.specfun import HypParams, hyp2f1, rgamma
+from blowlab.specfun import hyp2f1, rgamma
 from blowlab.specfun import _connection_regular, _digamma, _series
+from blowlab.spectral import _hyp_params
 
 
 def test_rgamma_exact_pole_zeros():
@@ -174,7 +175,5 @@ def test_hyp2f1_domain_errors():
 
 
 def test_hyp_params_eigenvalue_map():
-    hp = HypParams.for_eigenvalue(1.0, 3.0)
-    assert hp.a == -0.5 and hp.b == 2.0 and hp.c == 0.5
-    hp = HypParams.for_eigenvalue(-1.0, 2.0)
-    assert hp.a == -1.5 and hp.b == 2.0 and hp.c == 0.5
+    assert _hyp_params(1.0, 3.0) == (-0.5, 2.0, 0.5)
+    assert _hyp_params(-1.0, 2.0) == (-1.5, 2.0, 0.5)

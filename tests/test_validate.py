@@ -1,10 +1,11 @@
-"""Every `validate` suite at p = 1.5 and p = 3, one test per suite;
-`suite_specfun` and `suite_integrator`, which do not read p, run once.
+"""The `validate` suites that read neither p nor n, `suite_specfun` and
+`suite_integrator`, run once here; test_domain.py runs every other suite
+over its table of exponents.
 
-Test ids name the suite and the exponent (`evolve-p1.5`); a suite must
-return the check names pinned in `CHECK_NAMES`, in order, and a failure
-lists the suite's FAIL lines, which name each failing check, its value and
-its bound.  A check whose samples are all NaN fails.
+Test ids name the suite and the exponent (`specfun-p3`); a suite must
+return the check names pinned in `CHECK_NAMES` (conftest.py), in order,
+and a failure lists the suite's FAIL lines, which name each failing check,
+its value and its bound.  A check whose samples are all NaN fails.
 """
 
 import math
@@ -13,35 +14,11 @@ import pytest
 
 from blowlab import spectral as sp
 from blowlab import validate as vl
-from conftest import P_FREE_SUITES, cached_params
+from conftest import CHECK_NAMES, P_FREE_SUITES, cached_params
 
-CASES = [pytest.param(suite, p,
-                      id=f"{suite.__name__.removeprefix('suite_')}-p{p:g}")
-         for suite in vl.SUITES for p in (1.5, 3.0)
-         if suite not in P_FREE_SUITES or p == 3.0]
-
-
-# the 29 checks by suite, in order: adding, renaming or retiring a check
-# edits this table
-CHECK_NAMES = {
-    "suite_specfun": ("rgamma_lngamma_identity", "contiguous_relation",
-                      "series_connection_overlap"),
-    "suite_lipschitz": ("nonlin_N_at_zero", "quadratic_bound_constant",
-                        "quadratic_smallness_constant", "lipschitz_constant"),
-    "suite_model": ("linfty_bound_violation", "hardy_constant",
-                    "energy_homogeneity", "energy_triangle_violation",
-                    "U_map_closed_form", "psi_T_ode_fd_order"),
-    "suite_spectral": ("grid_diff_rho2", "grid_volterra_const",
-                       "symmetry_mode_residual", "projection_idempotency",
-                       "projection_commutator", "quantization_agreement",
-                       "wronskian_identity", "free_part_dissipativity"),
-    "suite_rhs": ("nonlinear_term_oracle",),
-    "suite_integrator": ("richardson_ratio",),
-    "suite_evolve": ("unstable_coefficient_growth_rate",
-                     "stable_subspace_decay_rate",
-                     "xnorm_attained_at_small_tau", "xnorm_over_initial",
-                     "zero_correction_identity", "refinement_rate_drift"),
-}
+CASES = [pytest.param(suite, 3.0,
+                      id=f"{suite.__name__.removeprefix('suite_')}-p3")
+         for suite in P_FREE_SUITES]
 
 
 @pytest.mark.parametrize("suite, p", CASES)
