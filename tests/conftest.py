@@ -55,6 +55,16 @@ def cached_projection(p, n, eps=0.1):
     return riesz_projection(cached_ops(p, n, eps))
 
 
+@lru_cache(maxsize=None)
+def cached_suite_run(suite, p, n=96, seed=0):
+    """A validate suite's results as a tuple, or the exception it stops
+    with: test_validate.py and test_domain.py read the same run."""
+    try:
+        return tuple(suite(cached_params(p), n, seed))
+    except Exception as exc:
+        return exc
+
+
 @pytest.fixture(scope="session")
 def params3():
     return cached_params(3.0)

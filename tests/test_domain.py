@@ -20,7 +20,7 @@ exceptions they raise; the warning is not filtered.  `suite_specfun` and
 import pytest
 
 from blowlab import validate as vl
-from conftest import CHECK_NAMES, P_FREE_SUITES, cached_params
+from conftest import CHECK_NAMES, P_FREE_SUITES, cached_suite_run
 
 SUITES = [suite for suite in vl.SUITES if suite not in P_FREE_SUITES]
 
@@ -49,14 +49,13 @@ PINS = {
 
 @pytest.mark.parametrize("p", list(PINS), ids=lambda p: f"p{p:.6g}")
 def test_failures_match_the_pinned_table(p):
-    params = cached_params(p)
     found = {}
     names = {}
     for suite in SUITES:
-        try:
-            results = suite(params, 96, 0)
-        except Exception as exc:
-            found[f"{suite.__name__} raises {type(exc).__name__}"] = str(exc)
+        results = cached_suite_run(suite, p)
+        if isinstance(results, Exception):
+            found[f"{suite.__name__} raises {type(results).__name__}"] = (
+                str(results))
         else:
             names[suite.__name__] = tuple(res.name for res in results)
             found.update((f"{res.suite}/{res.name}", res.line())

@@ -40,6 +40,17 @@ def test_rhs_linear_on_symmetry_mode():
     assert md.state_norm(grid, ops.L @ gvec - gvec) <= 1e-10
 
 
+def test_rhs_nonlinear_extra_term():
+    # A(phi2) = 1 on the symmetry mode, so the extra term is rho N(1)
+    params, grid, ops, _ = _setup()
+    gvec = sp.symmetry_mode(grid, params)
+    extra = _rhs(gvec, ops, grid, params) - ops.L @ gvec
+    expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
+                             np.zeros(48)])
+    expect[0] = 0.0
+    assert np.abs(extra - expect).max() <= 1e-12
+
+
 def test_integrate_symmetry_mode_grows_exponentially():
     params, grid, ops, proj = _setup()
     gvec = sp.symmetry_mode(grid, params)

@@ -10,10 +10,9 @@ import pytest
 
 from blowlab import evolve as ev
 from blowlab import model as md
-from blowlab import spectral as sp
 from blowlab.errors import DomainError
 from blowlab.grid import bary_interpolator
-from conftest import cached_grid, cached_ops, cached_params
+from conftest import cached_grid, cached_params
 
 
 def test_params_p3():
@@ -222,15 +221,6 @@ def test_nonlin_n():
     assert term[0] == 0.0 and not term[48:].any()
     assert term[1:48] == pytest.approx(
         grid.nodes[1:] * (3.0 * math.sqrt(2.0) + 1.0), rel=1e-13)
-    # the same term on the symmetry mode, read off the right-hand side
-    # L u + (rho N(A phi2), 0) that integrate steps
-    L = cached_ops(3.0, 48).L
-    gvec = sp.symmetry_mode(grid, p3)
-    extra = (L @ gvec + ev.nonlinear_term(grid, p3, gvec)) - L @ gvec
-    expect = np.concatenate([grid.nodes * (3.0 * math.sqrt(2.0) + 1.0),
-                             np.zeros(48)])
-    expect[0] = 0.0
-    assert np.abs(extra - expect).max() <= 1e-12
 
 
 def test_nonlin_n_japanese_bracket_bound():

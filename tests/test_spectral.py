@@ -268,6 +268,13 @@ def test_eigenvector_at_one_parallel_to_symmetry_mode():
     assert math.acos(min(cosang, 1.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_riesz_projection_diagnostics(p):
+    proj = cached_projection(p, 96)
+    assert proj.idempotency_defect <= 1e-8
+    assert proj.rank == 1
+
+
 def _dense_projection(p, n):
     """P = g l^T as a 2n x 2n matrix, the reference the closed forms in g
     and l are compared with."""
@@ -308,7 +315,6 @@ def test_projection_diagnostics_match_dense_linear_algebra(p, n):
     proj = cached_projection(p, n)
     P = _dense_projection(p, n)
     svals = np.linalg.svd(P, compute_uv=False)
-    assert proj.rank == 1 and proj.idempotency_defect <= 1e-8
     assert proj.rank == int(np.sum(svals > 1e-6))
     assert abs(proj.idempotency_defect
                - np.linalg.norm(P @ P - P, 2)) <= 1e-13

@@ -1,11 +1,12 @@
-"""The `validate` suites that read neither p nor n, `suite_specfun` and
-`suite_integrator`, run once here; test_domain.py runs every other suite
-over its table of exponents.
+"""Every `validate` suite at p = 1.5 and p = 3, one test per suite;
+`suite_specfun` and `suite_integrator`, which do not read p, run once.
 
-Test ids name the suite and the exponent (`specfun-p3`); a suite must
+Test ids name the suite and the exponent (`evolve-p1.5`); a suite must
 return the check names pinned in `CHECK_NAMES` (conftest.py), in order,
 and a failure lists the suite's FAIL lines, which name each failing check,
-its value and its bound.  A check whose samples are all NaN fails.
+its value and its bound.  A check whose samples are all NaN fails.  The
+suites run through `cached_suite_run`, so test_domain.py reads the same
+runs at p = 1.5 and 3 rather than making them again.
 """
 
 import math
@@ -14,16 +15,20 @@ import pytest
 
 from blowlab import spectral as sp
 from blowlab import validate as vl
-from conftest import CHECK_NAMES, P_FREE_SUITES, cached_params
+from conftest import (CHECK_NAMES, P_FREE_SUITES, cached_params,
+                      cached_suite_run)
 
-CASES = [pytest.param(suite, 3.0,
-                      id=f"{suite.__name__.removeprefix('suite_')}-p3")
-         for suite in P_FREE_SUITES]
+CASES = [pytest.param(suite, p,
+                      id=f"{suite.__name__.removeprefix('suite_')}-p{p:g}")
+         for suite in vl.SUITES for p in (1.5, 3.0)
+         if suite not in P_FREE_SUITES or p == 3.0]
 
 
 @pytest.mark.parametrize("suite, p", CASES)
 def test_suite_passes(suite, p):
-    results = suite(cached_params(p), 96, 0)
+    results = cached_suite_run(suite, p)
+    if isinstance(results, Exception):
+        raise results
     assert tuple(res.name for res in results) == CHECK_NAMES[suite.__name__]
     failed = [res.line() for res in results if not res.ok]
     assert not failed, "\n".join(failed)
