@@ -20,13 +20,14 @@ Raw eigenvalues of the discretization are untrusted: the continuous part
 of the spectrum produces resolution-dependent values, so only eigenvalues
 that move by < 1e-6 between two grids are flagged refinement-stable, and
 only the half-plane Re(lam) > omega_tilde + 0.1 is reported.  One dense
-eigenvalue solve, on the coarse grid, finds the candidates; the fine
-eigenvalue nearest each of them comes from shifted inverse iteration on
-the fine operator, two LU solves per candidate.  A stable entry reports
-that fine eigenvalue, an unstable one its coarse candidate.  The
-refinement cost grows with the window's roughly 1/(p - 1) eigenvalues
-and passes that of a dense fine solve at about 9 of them (p of about
-1.12 at n = 96).
+eigenvalue solve, on the coarse grid, finds the candidates.  The fine
+eigenvalue of the one within 1e-6 of 1 is 1 + l @ (L g - g), g the
+symmetry mode and l the fine projection's functional; that nearest each
+other candidate comes from shifted inverse iteration on the fine
+operator, two LU solves per candidate.  A stable entry reports that fine
+eigenvalue, an unstable one its coarse candidate.  The refinement cost
+grows with the window's roughly 1/(p - 1) eigenvalues and, at n = 96,
+passes that of a dense fine solve at 14 of them (p = 1.075).
 """
 
 import json
@@ -244,34 +245,40 @@ def discrete_eigenvalues(ops, grids, projection=None):
 
     `grids` is a (coarse, fine) pair whose sizes differ by a factor of at
     least 1.5; a (fine, coarse) pair fails that and raises DomainError.
-    One dense solve finds the coarse grid's eigenvalues; each one with
-    real part in the window, above omega_tilde + 0.1, is a shift for
-    `_nearest_eigenvalue` on the fine operator, two LU solves per
-    eigenvalue.  An entry is flagged stable when that fine eigenvalue lies
-    within 1e-6, and its `refinement` is that distance; above about 1e-4
-    it is an inverse-iteration estimate of it (see `_nearest_eigenvalue`),
-    which no flag depends on.  A stable entry holds the fine eigenvalue;
-    an unstable one holds the coarse eigenvalue, which no finer grid
-    confirms, since from a distant shift the estimate is an eigenvalue of
-    neither grid.  Both this list and the analytic one keep what lies
-    above one edge, 1e-6 below the window, so an analytic eigenvalue on
-    the window's edge and the discrete one that resolves it are reported
-    together.
+    One dense solve finds the coarse grid's eigenvalues; those with real
+    part in the window, above omega_tilde + 0.1, are refined on the fine
+    grid.  The one within 1e-6 of 1 is the symmetry mode's, and its fine
+    eigenvalue is the two-sided Rayleigh quotient 1 + l @ (L g - g) of g
+    and the fine projection's functional l (l @ g = 1), with error
+    quadratic in their residuals (Parlett, Math. Comp. 28, 1974).  Every
+    other one is a shift for `_nearest_eigenvalue` on the fine operator,
+    two LU solves each.  An entry is flagged stable when its fine
+    eigenvalue lies within 1e-6, and its `refinement` is that distance;
+    above about 1e-4 it is an inverse-iteration estimate of it (see
+    `_nearest_eigenvalue`), which no flag depends on.  A stable entry
+    holds the fine eigenvalue; an unstable one holds the coarse
+    eigenvalue, which no finer grid confirms, since from a distant shift
+    the estimate is an eigenvalue of neither grid.  Both this list and
+    the analytic one keep what lies above one edge, 1e-6 below the
+    window, so an analytic eigenvalue on the window's edge and the
+    discrete one that resolves it are reported together.
 
     The inverse iterations cost more than the fine grid's dense solve
-    they replace once the window holds about 9 eigenvalues (p of about
-    1.12 at n = 96).  The report's `timings` holds the seconds spent
-    assembling the operators not passed in (`operators_s`), in the coarse
-    grid's eigenvalue solve (`eigenvalues_s`), in the inverse iterations
-    on the fine grid (`refinement_s`) and in the fine grid's Riesz
-    projection (`projection_s`).  `projection`, a `riesz_projection` of
-    the fine operator the caller already holds, is used instead of a new
-    one.
+    they replace once the window holds 14 eigenvalues (p = 1.075 at
+    n = 96).  The report's `timings` holds the seconds spent assembling
+    the operators not passed in (`operators_s`), in the coarse grid's
+    eigenvalue solve (`eigenvalues_s`), in the fine grid's Riesz
+    projection (`projection_s`) and in the refinements (`refinement_s`).
+    `projection`, a `riesz_projection` of the fine operator the caller
+    already holds, is used instead of a new one; it feeds the lambda = 1
+    entry, so one of another grid's operator raises DomainError.
     """
     coarse, fine = grids
     if fine.n < 1.5 * coarse.n:
         raise DomainError(
             f"refinement pair n={coarse.n}/{fine.n} out of range: need a factor >= 1.5")
+    if projection is not None and projection.functional.size != 2 * fine.n:
+        raise DomainError(f"projection is of another grid than n={fine.n}")
     params = ops.params
     start = time.perf_counter()
     ops_c = ops if ops.grid.n == coarse.n else assemble_L(coarse, params)
@@ -285,9 +292,17 @@ def discrete_eigenvalues(ops, grids, projection=None):
     edge = window - _STABILITY_TOL
     report = SpectrumReport(p=params.p, n_coarse=coarse.n, n_fine=fine.n,
                             analytic=analytic_eigenvalues(params, edge))
+    proj = riesz_projection(ops_f) if projection is None else projection
+    projected = time.perf_counter()
     # a coarse eigenvalue just below the edge may refine to one above it
-    for mu in ev_c[ev_c.real > edge - _STABILITY_TOL]:
-        lam = _nearest_eigenvalue(ops_f.L, mu)
+    cands = ev_c[ev_c.real > edge - _STABILITY_TOL]
+    near = np.abs(cands - 1.0).argmin()
+    gvec = symmetry_mode(fine, params)
+    for i, mu in enumerate(cands):
+        if i == near and abs(mu - 1.0) < _STABILITY_TOL:   # g's eigenvalue
+            lam = 1.0 + proj.functional @ (ops_f.L @ gvec - gvec)
+        else:
+            lam = _nearest_eigenvalue(ops_f.L, mu)
         dist = float(abs(lam - mu))
         stable = dist < _STABILITY_TOL
         # from a distant shift the estimate is no grid's eigenvalue
@@ -297,12 +312,10 @@ def discrete_eigenvalues(ops, grids, projection=None):
                                     "im": float(value.imag),
                                     "stable": stable, "refinement": dist})
     report.discrete.sort(key=lambda d: (-d["re"], d["im"]))
-    refined = time.perf_counter()
-    proj = riesz_projection(ops_f) if projection is None else projection
     report.timings = {"operators_s": assembled - start,
                       "eigenvalues_s": solved - assembled,
-                      "refinement_s": refined - solved,
-                      "projection_s": time.perf_counter() - refined}
+                      "projection_s": projected - solved,
+                      "refinement_s": time.perf_counter() - projected}
     report.projection_rank = proj.rank
     report.projection_defect = proj.idempotency_defect
     return report

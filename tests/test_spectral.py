@@ -254,6 +254,15 @@ def test_discrete_eigenvalues_refinement_precondition():
         sp.discrete_eigenvalues(ops, (cached_grid(64), cached_grid(80)))
 
 
+def test_discrete_eigenvalues_rejects_another_grids_projection():
+    # the projection feeds the lambda = 1 entry, so one of the coarse
+    # operator cannot stand in for the fine one
+    ops = cached_ops(3.0, 64)
+    with pytest.raises(DomainError):
+        sp.discrete_eigenvalues(ops, (cached_grid(64), cached_grid(96)),
+                                projection=cached_projection(3.0, 64))
+
+
 def test_eigenvector_at_one_parallel_to_symmetry_mode():
     params = cached_params(3.0)
     grid = cached_grid(96)
@@ -475,6 +484,36 @@ def test_one_dense_eigenvalue_solve_per_spectrum(monkeypatch):
     assert calls == [(128, 128), (128, 128)]
 
 
+def test_inverse_iterations_and_projections_per_spectrum(monkeypatch):
+    # the eigenvalue 1 is refined by the projection's functional, every
+    # other window candidate by one inverse iteration; a projection that
+    # is passed in is not made again
+    projections = {p: cached_projection(p, 96) for p in (1.5, 2.0, 3.0)}
+    shifts, projected = [], []
+    nearest, project = sp._nearest_eigenvalue, sp.riesz_projection
+
+    def counting_nearest(matrix, shift):
+        shifts.append(shift)
+        return nearest(matrix, shift)
+
+    def counting_projection(ops):
+        projected.append(ops.grid.n)
+        return project(ops)
+
+    monkeypatch.setattr(sp, "_nearest_eigenvalue", counting_nearest)
+    monkeypatch.setattr(sp, "riesz_projection", counting_projection)
+    grids = (cached_grid(64), cached_grid(96))
+    for p, iterations in ((3.0, 0), (2.0, 1), (1.5, 2)):
+        for projection in (None, projections[p]):
+            shifts.clear()
+            projected.clear()
+            sp.discrete_eigenvalues(cached_ops(p, 64), grids,
+                                    projection=projection)
+            assert len(shifts) == iterations, p
+            assert all(abs(mu - 1.0) > 0.5 for mu in shifts), p
+            assert projected == ([96] if projection is None else []), p
+
+
 def test_refinement_distance_against_extended_precision():
     # p = 1.02, grids 16/24: the coarse eigenvalue near -9 lies 1.3911e-6
     # from the nearest exact eigenvalue of the fine matrix (mpmath, 40
@@ -498,6 +537,31 @@ def test_refinement_distance_against_extended_precision():
         exact = float(abs(c))
     assert abs(exact - 1.3911e-6) <= 1e-10
     assert abs(entry["refinement"] - exact) <= 3e-7
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0])
+def test_symmetry_eigenvalue_against_extended_precision(p):
+    # grids 16/24: the stable entry nearest 1 lies within 1e-13 of the
+    # fine matrix's eigenvalue near 1 (measured within 2.6e-15), and its
+    # refinement is its distance from the coarse eigenvalue nearest 1.
+    # The oracle is one step of inverse iteration at the shift 1 in 40
+    # digits, from g, which lies within rounding of the fine eigenvector
+    mpmath = pytest.importorskip("mpmath")
+    ops = cached_ops(p, 16)
+    report = sp.discrete_eigenvalues(ops, (cached_grid(16), cached_grid(24)))
+    entry = min((d for d in report.discrete if d["stable"]),
+                key=lambda d: abs(d["re"] - 1.0))
+    assert entry["im"] == 0.0
+    ev_c = np.linalg.eigvals(ops.L)
+    mu = ev_c[np.abs(ev_c - 1.0).argmin()]
+    assert entry["refinement"] == abs(entry["re"] - mu)
+    fine = cached_ops(p, 24)
+    with mpmath.workdps(40):
+        shifted = mpmath.matrix(fine.L.tolist()) - mpmath.eye(48)
+        x = mpmath.matrix(sp.symmetry_mode(fine.grid, fine.params).tolist())
+        y = mpmath.lu_solve(shifted, x)
+        exact = 1.0 + float((y.T * x)[0] / (y.T * y)[0])
+    assert abs(entry["re"] - exact) <= 1e-13
 
 
 def test_eigenfunction_lambda_one_proportional_to_rho():
