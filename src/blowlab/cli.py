@@ -30,10 +30,6 @@ from .errors import (AmplitudeAbort, DomainError, PerturbationTooLarge,
 from .grid import build_grid
 
 
-def _summary_path(out):
-    return os.path.splitext(out)[0] + ".summary.json"
-
-
 def cmd_spectrum(args):
     params = md.params_new(args.p)
     coarse = build_grid(args.n)
@@ -149,10 +145,9 @@ def cmd_evolve(args):
     marks.append(("writes", time.perf_counter()))
     summary["timings"] = {f"{name}_s": end - start for (_, start), (name, end)
                           in zip(marks, marks[1:])}
-    spath = _summary_path(out)
+    spath = os.path.splitext(out)[0] + ".summary.json"
     with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2) + "\n")
     if abort is not None:
         print(f"evolve: partial trajectory to tau={traj.taus[-1]:.1f} "
               f"-> {out}, {spath}")
@@ -177,9 +172,8 @@ def cmd_validate(args):
     print(f"validate: {len(results) - failures}/{len(results)} checks passed")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump([dataclasses.asdict(res) for res in results], fh,
-                      indent=2)
-            fh.write("\n")
+            fh.write(json.dumps([dataclasses.asdict(res) for res in results],
+                                indent=2) + "\n")
     return 0 if failures == 0 else 1
 
 
@@ -210,8 +204,8 @@ def build_parser():
     tune = p_ev.add_mutually_exclusive_group()
     tune.add_argument("--tune-T", dest="tune", action="store_true",
                       help="tune the blow-up time to suppress the unstable "
-                           "mode (secant method from the linear "
-                           "prediction; needs --tau-end >= 1.1)")
+                           "mode (secant method from the Duhamel "
+                           "prediction T_pred; needs --tau-end >= 1.1)")
     tune.add_argument("--no-tune", dest="tune", action="store_false")
     p_ev.set_defaults(tune=False)
 

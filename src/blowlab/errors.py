@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto exit codes: DomainError -> 2, SolverError -> 3,
-PerturbationTooLarge -> 4.  Everything carries a single-line message naming
-the violated constraint.
+"""Exception types shared across the package, one per CLI exit code:
+DomainError -> 2, an argument, step size or fit window out of range;
+SolverError -> 3, a failed solve, or a series or blow-up-time search that
+did not converge; PerturbationTooLarge -> 4, data outside the smallness
+regime, or a blow-up-time search that found no zero of the unstable mode.
+Everything carries a single-line message naming the violated constraint.
 """
 
 
@@ -10,26 +11,12 @@ class DomainError(ValueError):
     """An argument lies outside the admissible range of an operation."""
 
 
-class StepSizeError(DomainError):
-    """Requested time step is not positive or exceeds the 0.1 spacing of
-    the trajectory's samples."""
-
-
-class DegenerateFitError(DomainError):
-    """Rate fit attempted on data that underflows or has too few samples."""
-
-
 class SolverError(RuntimeError):
-    """A linear/eigenvalue solve or series evaluation failed."""
-
-
-class NonConvergenceError(SolverError):
-    """A series or an iterative search did not converge within its
-    budget."""
+    """A linear/eigenvalue solve, a series or an iterative search failed."""
 
 
 class PerturbationTooLarge(RuntimeError):
-    """Base class for aborts caused by data outside the smallness regime."""
+    """Data outside the smallness regime."""
 
 
 class OverflowAbort(PerturbationTooLarge):
@@ -47,9 +34,3 @@ class AmplitudeAbort(PerturbationTooLarge):
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class NoSignChangeError(PerturbationTooLarge):
-    """The blow-up-time search found no zero of the unstable-mode
-    coefficient: a secant iterate left (1/2, 3/2), or the coefficient
-    stalled at one value."""

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import model
-from .errors import (AmplitudeAbort, DomainError, NoSignChangeError,
-                     NonConvergenceError, OverflowAbort, StepSizeError)
+from .errors import (AmplitudeAbort, DomainError, OverflowAbort,
+                     PerturbationTooLarge, SolverError)
 from .grid import bary_interpolator
 from .model import avg_A, nonlin_dN, nonlin_N, state_norm
 from .spectral import riesz_projection
@@ -92,17 +92,6 @@ def stable_dtau(ops):
     and tracing still look this function up by name.
     """
     return _SAMPLE_DTAU
-
-
-def substeps(dtau):
-    """The fewest steps per 0.1 sample for a requested longest step in
-    (0, 0.1]: the step is shortened so that a whole number of steps spans
-    each sample."""
-    if not 0.0 < dtau <= _SAMPLE_DTAU:
-        raise StepSizeError(
-            f"dtau={dtau} out of range: need 0 < dtau <= {_SAMPLE_DTAU} "
-            f"(the sample spacing)")
-    return math.ceil(_SAMPLE_DTAU / dtau - 1e-12)
 
 
 def _sample_steps(norm, norm0):
@@ -175,10 +164,11 @@ class Trajectory:
         return float(np.max(np.exp(mu * self.taus) * self.norms))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("tau,norm,unstable_coeff\n")
-            for tau, nrm, a in zip(self.taus, self.norms, self.unstable_coeffs):
-                fh.write(f"{tau:.10g},{nrm:.17g},{a:.17g}\n")
+        with open(path, "w") as fh:   # plain text even for a .gz path
+            np.savetxt(fh, np.column_stack((self.taus, self.norms,
+                                            self.unstable_coeffs)),
+                       fmt=("%.10g", "%.17g", "%.17g"), delimiter=",",
+                       header="tau,norm,unstable_coeff", comments="")
 
 
 def unstable_coefficient(u, projection):
@@ -221,7 +211,11 @@ def integrate(initial, tau_end, ops, grid, params, nonlinear=True,
     if not 0.0 < tau_end < math.inf:
         raise DomainError(
             f"tau_end={tau_end} out of range: need 0 < tau_end < inf")
-    nsub = 1 if dtau is None else substeps(dtau)
+    if dtau is not None and not 0.0 < dtau <= _SAMPLE_DTAU:
+        raise DomainError(
+            f"dtau={dtau} out of range: need 0 < dtau <= {_SAMPLE_DTAU} "
+            f"(the sample spacing)")
+    nsub = 1 if dtau is None else math.ceil(_SAMPLE_DTAU / dtau - 1e-12)
     if projection is None:
         projection = riesz_projection(ops)
     nsamples = int(math.floor(tau_end / _SAMPLE_DTAU + 1e-9))
@@ -367,7 +361,7 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
     step from T_pred is below half an ulp of T, so T_pred is already the
     best float) or "repeat" (the next iterate was already integrated).
     Raises DomainError unless tau_end is finite and tau_end - 1 >= 0.1,
-    the first sample after tau = 0, and NoSignChangeError when a secant
+    the first sample after tau = 0, and PerturbationTooLarge when a secant
     iterate leaves (1/2, 3/2) or the target stalls.
     """
     tau_probe = tau_end - 1.0
@@ -484,17 +478,16 @@ def _secant(f, x0, x1):
     Stops when f vanishes ("zero"), when the starting step is below half
     an ulp so that x1 == x0 ("sub_ulp"), or when the next iterate was
     already evaluated ("repeat").  Returns the evaluated point with the
-    smallest |f| and the stop reason.  Raises NoSignChangeError when an
-    iterate leaves the tuning domain or two successive values of f at
-    distinct points are equal, and NonConvergenceError after _MAXITER
-    steps.
+    smallest |f| and the stop reason.  Raises PerturbationTooLarge when
+    an iterate leaves the tuning domain or two successive values of f at
+    distinct points are equal, and SolverError after _MAXITER steps.
     """
     lo, hi = _T_DOMAIN
     values = {}
     for _ in range(_MAXITER):
         for x in (x0, x1):
             if not lo <= x <= hi:
-                raise NoSignChangeError(
+                raise PerturbationTooLarge(
                     f"tune_T: secant iterate T={x:.17g} left (1/2, 3/2); "
                     f"perturbation too large")
             if x not in values:
@@ -507,7 +500,7 @@ def _secant(f, x0, x1):
             stop = "sub_ulp"
             break
         if f1 == f0:
-            raise NoSignChangeError(
+            raise PerturbationTooLarge(
                 f"tune_T: unstable-mode coefficient stalls at {f1:.3g} near "
                 f"T={x1:.17g}; perturbation too large")
         x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
@@ -515,7 +508,7 @@ def _secant(f, x0, x1):
             stop = "repeat"
             break
     else:
-        raise NonConvergenceError(
+        raise SolverError(
             f"tune_T: secant search not converged in {_MAXITER} steps")
     return min(values, key=lambda x: abs(values[x])), stop
 

@@ -2,8 +2,8 @@
 
 Nodes are stored ascending with rho[0] = 0 and rho[-1] = L.  The grid
 carries the spectral differentiation matrix D, a Volterra integration
-matrix V realizing u -> int_0^rho u, quadrature weights w and barycentric
-weights for off-grid interpolation.
+matrix V realizing u -> int_0^rho u and quadrature weights w;
+bary_interpolator evaluates grid functions off the grid.
 
 V integrates the Chebyshev interpolant coefficient-wise, pinned to zero at
 rho = 0, so it is exact for polynomials up to degree n-1.  Its last row,
@@ -68,7 +68,6 @@ class Grid:
     D: np.ndarray       # spectral differentiation, (n, n)
     V: np.ndarray       # Volterra integration u -> int_0^rho u, (n, n)
     w: np.ndarray       # quadrature weights, V's last row, (n,)
-    bary: np.ndarray    # barycentric interpolation weights, (n,)
 
     def integrate(self, u):
         """Quadrature integral of a grid function over [0, length]."""
@@ -94,18 +93,16 @@ def build_grid(n, length=1.0):
     D = Dx * (-2.0 / length)
     V = _volterra(N, length)
     w = V[-1]
-    bary = (-1.0) ** np.arange(n)
-    bary[0] *= 0.5
-    bary[-1] *= 0.5
-    for a in (nodes, D, V, w, bary):
+    for a in (nodes, D, V, w):
         a.setflags(write=False)
-    return Grid(n=n, length=float(length), nodes=nodes, D=D, V=V, w=w, bary=bary)
+    return Grid(n=n, length=float(length), nodes=nodes, D=D, V=V, w=w)
 
 
 def bary_interpolator(grid, targets):
     """Barycentric interpolation from the nodes to targets in [0, length],
     as a function of the nodal values: the weights are built once and
-    applied to each value array by its own matvec.  Exact on grid nodes;
+    applied to each value array by its own matvec.  The CGL barycentric
+    weights are (-1)^j, halved at both ends.  Exact on grid nodes;
     spectrally accurate for smooth data."""
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if targets.min() < -1e-12 or targets.max() > grid.length + 1e-12:
@@ -114,7 +111,9 @@ def bary_interpolator(grid, targets):
     diff = targets[:, None] - grid.nodes[None, :]
     exact = np.abs(diff) <= 1e-300
     diff[exact] = 1.0
-    weights = grid.bary[None, :] / diff
+    bary = (-1.0) ** np.arange(grid.n)
+    bary[[0, -1]] *= 0.5
+    weights = bary / diff
     sums = weights.sum(axis=1)
     hit_rows, hit_cols = np.nonzero(exact)
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFitError, DomainError
+from .errors import DomainError
 from .grid import Grid, bary_interpolator, build_grid
 
 # test hook: any value but 1.0 scales |k+x|^(p-1)(k+x) in N, and the
@@ -263,10 +263,11 @@ def reconstruct_field(u, tau, params, grid):
 
 def field_to_csv(fg, t, path):
     """Write a physical-space snapshot as CSV rows `t,r,psi,psi_t`."""
-    with open(path, "w") as fh:
-        fh.write("t,r,psi,psi_t\n")
-        for r, psi, psi_t in zip(fg.grid.nodes, fg.f, fg.g):
-            fh.write(f"{t:.10g},{r:.17g},{psi:.17g},{psi_t:.17g}\n")
+    with open(path, "w") as fh:   # plain text even for a .gz path
+        np.savetxt(fh, np.column_stack((np.full(fg.grid.n, t),
+                                        fg.grid.nodes, fg.f, fg.g)),
+                   fmt=("%.10g", "%.17g", "%.17g", "%.17g"), delimiter=",",
+                   header="t,r,psi,psi_t", comments="")
 
 
 def energy_norm(fg):
@@ -283,18 +284,18 @@ def _log_linear_fit(x, values, window):
     """Least-squares line through (x, log|value|) over the samples with x
     in window, for every rate fit; returns (slope, intercept).
 
-    Raises DegenerateFitError for fewer than 10 samples in the window or a
+    Raises DomainError for fewer than 10 samples in the window or a
     |value| at or below 1e-14 there.
     """
     x = np.asarray(x)
     values = np.abs(np.asarray(values))
     mask = (x >= window[0] - 1e-9) & (x <= window[1] + 1e-9)
     if mask.sum() < 10:
-        raise DegenerateFitError(
+        raise DomainError(
             f"only {int(mask.sum())} samples in fit window {window}, "
             f"need >= 10")
     if values[mask].min() <= 1e-14:
-        raise DegenerateFitError("fitted values underflow below 1e-14")
+        raise DomainError("fitted values underflow below 1e-14")
     slope, intercept = np.polyfit(x[mask], np.log(values[mask]), 1)
     return float(slope), intercept
 

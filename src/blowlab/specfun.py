@@ -21,7 +21,7 @@ terms.  Complex parameters and z >= 1 are out of scope.
 
 import math
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, SolverError
 
 _SERIES_TOL = 1e-16
 _MAX_TERMS = 500
@@ -79,7 +79,7 @@ def _series(a, b, c, z):
         total += term
         if term == 0.0 or abs(term) < _SERIES_TOL * abs(total):
             return total
-    raise NonConvergenceError(
+    raise SolverError(
         f"hyp2f1 series failed tolerance at a={a}, b={b}, c={c}, z={z}")
 
 
@@ -119,7 +119,7 @@ def _connection_degenerate(a, b, z, m):
         if n > 2 and abs(piece) < _SERIES_TOL * abs(total):
             return part1 - pre2 * total
         term *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
-    raise NonConvergenceError(
+    raise SolverError(
         f"hyp2f1 logarithmic branch failed at a={a}, b={b}, z={z}")
 
 

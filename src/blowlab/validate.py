@@ -7,7 +7,8 @@ returns one CheckResult per check, with the measured value and its bound;
 own test.  The suites are grouped so that a fault in one ingredient (say,
 a sign error in the nonlinearity) shows up in the groups that depend on it.
 `suite_specfun` and `suite_integrator` read neither p nor n.  No two
-checks read the same quantity, and none holds by construction.
+checks read the same quantity; one holds by construction: N(0) in
+`lipschitz/nonlin_N_at_zero` is exactly 0.0 at every tested exponent.
 """
 
 import decimal

@@ -36,8 +36,8 @@ CHECK_NAMES = {
 
 
 @lru_cache(maxsize=None)
-def cached_params(p, eps=0.1):
-    return params_new(p, eps=eps)
+def cached_params(p):
+    return params_new(p)
 
 
 @lru_cache(maxsize=None)
@@ -46,13 +46,13 @@ def cached_grid(n, length=1.0):
 
 
 @lru_cache(maxsize=None)
-def cached_ops(p, n, eps=0.1):
-    return assemble_L(cached_grid(n), cached_params(p, eps))
+def cached_ops(p, n):
+    return assemble_L(cached_grid(n), cached_params(p))
 
 
 @lru_cache(maxsize=None)
-def cached_projection(p, n, eps=0.1):
-    return riesz_projection(cached_ops(p, n, eps))
+def cached_projection(p, n):
+    return riesz_projection(cached_ops(p, n))
 
 
 @lru_cache(maxsize=None)
@@ -63,6 +63,20 @@ def cached_suite_run(suite, p, n=96, seed=0):
         return tuple(suite(cached_params(p), n, seed))
     except Exception as exc:
         return exc
+
+
+def record_calls(monkeypatch, owner, name, key):
+    """Replace owner.name by a wrapper that calls it and appends key of
+    each call's arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

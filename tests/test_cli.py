@@ -146,6 +146,15 @@ def test_evolve_untuned_growth_aborts_with_partial_output(tmp_path):
     assert summary["growth_rate"] == pytest.approx(1.0, abs=0.05)
 
 
+def test_evolve_failed_tuning_exits_4(tmp_path, capsys):
+    # amplitude 3 at p = 3: the secant search for T leaves (1/2, 3/2)
+    assert run(["evolve", "--p", "3", "--n", "32", "--amplitude", "3",
+                "--tune-T", "--tau-end", "4",
+                "--out", str(tmp_path / "t.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow: tune_T: secant iterate")
+
+
 def test_evolve_field_out_is_the_tuned_background_at_the_last_sample(
         tmp_path):
     # the last sample, tau = 4, of the tuned run sits at t = T*(1 - e^-4)

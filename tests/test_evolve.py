@@ -12,10 +12,10 @@ import pytest
 from blowlab import evolve as ev
 from blowlab import model as md
 from blowlab import spectral as sp
-from blowlab.errors import (AmplitudeAbort, DegenerateFitError, DomainError,
-                            NoSignChangeError, NonConvergenceError,
-                            OverflowAbort, StepSizeError)
-from conftest import cached_grid, cached_ops, cached_params, cached_projection
+from blowlab.errors import (AmplitudeAbort, DomainError, OverflowAbort,
+                            PerturbationTooLarge, SolverError)
+from conftest import (cached_grid, cached_ops, cached_params,
+                      cached_projection, record_calls)
 
 
 def _setup(p=3.0, n=48):
@@ -118,14 +118,8 @@ def test_integrate_evaluates_stages_in_two_rounds(monkeypatch):
     # reads, (N1, N3) and then (N2, N4); integrate looks nonlin_N up
     # through blowlab.evolve, where tracing and fault injection replace it
     params, grid, ops, proj = _setup()
-    lengths = []
-    original = ev.nonlin_N
-
-    def counting(params, x):
-        lengths.append(len(x))
-        return original(params, x)
-
-    monkeypatch.setattr(ev, "nonlin_N", counting)
+    lengths = record_calls(monkeypatch, ev, "nonlin_N",
+                           lambda params, x: len(x))
     u = md.random_polynomial_state(grid, np.random.default_rng(0))
     traj = ev.integrate(u, 0.1, ops, grid, params, nonlinear=True,
                         projection=proj)
@@ -262,7 +256,7 @@ def _stacked_step_states(initial, tau_end, ops, grid, params, dtau=None):
     """integrate's samples as a step computed them with fresh arrays: r =
     reads @ u, stage @ n13 added to its reads, and combine applied to
     np.concatenate((n13, n24)), on _stacked_step_matrices."""
-    nsub = 1 if dtau is None else ev.substeps(dtau)
+    nsub = 1 if dtau is None else math.ceil(0.1 / dtau - 1e-12)
     n = grid.n
     built = {}
     u = np.array(initial, dtype=float)
@@ -329,7 +323,7 @@ def test_integrate_step_size_guard():
     params, grid, ops, proj = _setup(n=96)
     gsym = sp.symmetry_mode(grid, params)
     for dtau in (0.5, 0.0):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(DomainError, match="dtau"):
             ev.integrate(gsym, 1.0, ops, grid, params, nonlinear=False,
                          dtau=dtau, projection=proj)
 
@@ -467,16 +461,16 @@ def test_decay_fit_degenerate_inputs():
     traj = ev.Trajectory(taus=taus, states=np.zeros((taus.size, 96)),
                          norms=np.full(taus.size, 1e-16),
                          unstable_coeffs=np.zeros(taus.size))
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(DomainError, match="underflow"):
         ev.decay_fit(traj, (0.0, 5.0))
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(DomainError, match="samples in fit window"):
         ev.decay_fit(traj, (0.0, 0.3))
     values = np.exp(taus)
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(DomainError, match="samples in fit window"):
         ev.growth_fit(taus, values, (0.0, 0.3))
     for small in (1e-14, -1e-15):
         values[20] = small
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(DomainError, match="underflow"):
             ev.growth_fit(taus, values, (0.0, 5.0))
 
 
@@ -503,15 +497,8 @@ def test_linear_decay_on_stable_subspace(p):
 def _count_integrations(monkeypatch):
     """Wrap ev.integrate; the returned list collects the initial state of
     each call."""
-    calls = []
-    integrate = ev.integrate
-
-    def counted(initial, tau_end, ops, grid, params, **kwargs):
-        calls.append(initial)
-        return integrate(initial, tau_end, ops, grid, params, **kwargs)
-
-    monkeypatch.setattr(ev, "integrate", counted)
-    return calls
+    return record_calls(monkeypatch, ev, "integrate",
+                        lambda initial, *args, **kwargs: initial)
 
 
 def test_tune_T_zero_data_returns_one(monkeypatch):
@@ -702,15 +689,9 @@ def test_nonlinear_term_of_a_stack_is_the_per_row_term(monkeypatch):
         for row, s in zip(got, states):
             want = ev.nonlinear_term(grid, params, s, term)
             assert np.abs(row - want).max() <= 16 * np.finfo(float).eps
-    calls = []
-    original = ev.nonlin_N
-
-    def counting(params, x):
-        calls.append(np.shape(x))
-        return original(params, x)
-
     # the default term is looked up through blowlab.evolve at each call
-    monkeypatch.setattr(ev, "nonlin_N", counting)
+    calls = record_calls(monkeypatch, ev, "nonlin_N",
+                         lambda params, x: np.shape(x))
     ev.nonlinear_term(grid, params, states)
     assert calls == [(48, len(states))]
 
@@ -725,14 +706,7 @@ def test_tune_T_builds_step_matrices_once(monkeypatch):
     fg = md.random_polynomial_data(gdata, np.random.default_rng(42), params,
                                    amplitude=1e-3)
     v = md.data_to_v(fg, params)
-    expm_calls = []
-    expm = ev._expm
-
-    def counted(A):
-        expm_calls.append(A)
-        return expm(A)
-
-    monkeypatch.setattr(ev, "_expm", counted)
+    expm_calls = record_calls(monkeypatch, ev, "_expm", lambda A: A)
     integrations = _count_integrations(monkeypatch)
     ev.tune_T(v, params, 8.0, grid, ops, projection=proj)
     assert len(integrations) >= 2
@@ -755,14 +729,8 @@ def test_tuned_run_lengthens_its_step(monkeypatch):
     counts = traj.step_counts
     assert list(counts) == [0.025, 0.05, 0.1]
     assert sum(h * c for h, c in counts.items()) == pytest.approx(8.0)
-    calls = []
-    original = ev.nonlin_N
-
-    def counting(params, x):
-        calls.append(len(x))
-        return original(params, x)
-
-    monkeypatch.setattr(ev, "nonlin_N", counting)
+    calls = record_calls(monkeypatch, ev, "nonlin_N",
+                         lambda params, x: len(x))
     again = ev.integrate(traj.states[0], 8.0, ops, grid, params,
                          projection=proj)
     assert np.array_equal(again.states, traj.states)
@@ -794,7 +762,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
     # so its secant search leaves the domain before any integration
     rng = np.random.default_rng(2)
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1.0)
-    with pytest.raises(NoSignChangeError):
+    with pytest.raises(PerturbationTooLarge, match=r"left \(1/2, 3/2\)"):
         ev.tune_T(md.data_to_v(fg, params), params, 5.0, grid, ops,
                   projection=proj)
 
@@ -808,7 +776,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
         raise AmplitudeAbort("left the unit ball", trajectory=partial)
 
     monkeypatch.setattr(ev, "integrate", always_grows)
-    with pytest.raises(NoSignChangeError):
+    with pytest.raises(PerturbationTooLarge, match=r"left \(1/2, 3/2\)"):
         ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
 
     # every run aborts with the same small coefficient: the secant step
@@ -822,7 +790,7 @@ def test_tune_T_no_sign_change_raises(monkeypatch):
         raise AmplitudeAbort("left the unit ball", trajectory=stalled)
 
     monkeypatch.setattr(ev, "integrate", always_stalls)
-    with pytest.raises(NoSignChangeError):
+    with pytest.raises(PerturbationTooLarge, match="stalls"):
         ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
 
 
@@ -860,7 +828,7 @@ def test_tune_T_iteration_budget(monkeypatch):
                              unstable_coeffs=np.array([a, a]))
 
     monkeypatch.setattr(ev, "integrate", cubic)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(SolverError, match="not converged"):
         ev.tune_T(zero, params, 5.0, grid, ops, projection=proj)
 
 
@@ -1061,6 +1029,12 @@ def test_field_csv_format(tmp_path):
     row = lines[1].split(",")
     assert float(row[1]) == 0.0
     assert float(row[2]) == pytest.approx(md.psi_T(params, t), rel=1e-12)
+    # t to its 10 printed digits; r, psi and psi_t back to the same floats
+    for line, r, psi, psi_t in zip(lines[1:], rec.grid.nodes, rec.f,
+                                   rec.g):
+        row = line.split(",")
+        assert row[0] == f"{t:.10g}"
+        assert [float(x) for x in row[1:]] == [r, psi, psi_t]
 
 
 def test_trajectory_csv_format(tmp_path):
@@ -1076,3 +1050,14 @@ def test_trajectory_csv_format(tmp_path):
     assert len(lines) == tr.taus.size + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) > 0.0
+    # tau to its 10 printed digits; norm and coefficient back to the same
+    # floats
+    for line, tau, nrm, a in zip(lines[1:], tr.taus, tr.norms,
+                                 tr.unstable_coeffs):
+        row = line.split(",")
+        assert row[0] == f"{tau:.10g}"
+        assert [float(x) for x in row[1:]] == [nrm, a]
+    # a path ending in .gz gets the same plain text
+    gz = tmp_path / "traj.csv.gz"
+    tr.to_csv(gz)
+    assert gz.read_text() == path.read_text()

@@ -44,7 +44,7 @@ def test_params_domain_errors():
 
 def test_params_exponent_ranges():
     for p in (1.1, 1.5, 2.0, 2.5, 3.0):
-        pr = cached_params(p, 0.05)
+        pr = md.params_new(p, eps=0.05)
         assert pr.omega_tilde <= -0.5
         assert -1.0 <= pr.omega <= -0.5
         assert pr.mu > 0.0

@@ -17,7 +17,8 @@ from blowlab.grid import build_grid
 from blowlab.model import (params_new, random_polynomial_state, state_inner,
                            state_norm)
 from blowlab.specfun import _sinpi
-from conftest import cached_grid, cached_ops, cached_params, cached_projection
+from conftest import (cached_grid, cached_ops, cached_params,
+                      cached_projection, record_calls)
 
 
 def test_build_grid_invariants():
@@ -471,13 +472,8 @@ def test_nearest_eigenvalue_on_and_near_coarse_eigenvalues():
 
 
 def test_one_dense_eigenvalue_solve_per_spectrum(monkeypatch):
-    calls = []
-
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return np.linalg.eigvals(matrix)
-
-    monkeypatch.setattr(sp, "_eigvals", counting)
+    calls = record_calls(monkeypatch, sp, "_eigvals",
+                         lambda matrix: matrix.shape)
     for p in (1.5, 3.0):
         sp.discrete_eigenvalues(cached_ops(p, 64),
                                 (cached_grid(64), cached_grid(96)))
@@ -489,19 +485,10 @@ def test_inverse_iterations_and_projections_per_spectrum(monkeypatch):
     # other window candidate by one inverse iteration; a projection that
     # is passed in is not made again
     projections = {p: cached_projection(p, 96) for p in (1.5, 2.0, 3.0)}
-    shifts, projected = [], []
-    nearest, project = sp._nearest_eigenvalue, sp.riesz_projection
-
-    def counting_nearest(matrix, shift):
-        shifts.append(shift)
-        return nearest(matrix, shift)
-
-    def counting_projection(ops):
-        projected.append(ops.grid.n)
-        return project(ops)
-
-    monkeypatch.setattr(sp, "_nearest_eigenvalue", counting_nearest)
-    monkeypatch.setattr(sp, "riesz_projection", counting_projection)
+    shifts = record_calls(monkeypatch, sp, "_nearest_eigenvalue",
+                          lambda matrix, shift: shift)
+    projected = record_calls(monkeypatch, sp, "riesz_projection",
+                             lambda ops: ops.grid.n)
     grids = (cached_grid(64), cached_grid(96))
     for p, iterations in ((3.0, 0), (2.0, 1), (1.5, 2)):
         for projection in (None, projections[p]):

@@ -16,7 +16,7 @@ import pytest
 from blowlab import spectral as sp
 from blowlab import validate as vl
 from conftest import (CHECK_NAMES, P_FREE_SUITES, cached_params,
-                      cached_suite_run)
+                      cached_suite_run, record_calls)
 
 CASES = [pytest.param(suite, p,
                       id=f"{suite.__name__.removeprefix('suite_')}-p{p:g}")
@@ -36,14 +36,8 @@ def test_suite_passes(suite, p):
 
 def test_suite_spectral_makes_one_bordered_solve(monkeypatch):
     # the report reuses the suite's projection of the fine operator
-    calls = []
-    original = sp.riesz_projection
-
-    def counting(ops):
-        calls.append(ops.grid.n)
-        return original(ops)
-
-    monkeypatch.setattr(sp, "riesz_projection", counting)
+    calls = record_calls(monkeypatch, sp, "riesz_projection",
+                         lambda ops: ops.grid.n)
     vl.suite_spectral(cached_params(3.0), 96, 0)
     assert calls == [96]
 
