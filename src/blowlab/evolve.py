@@ -369,7 +369,7 @@ def tune_T(v, params, tau_end, grid, ops, projection, dtau=None):
         raise DomainError(
             f"tau_end={tau_end} out of range: tune_T reads its target at "
             f"tau_end - 1, which must be finite and >= {_SAMPLE_DTAU}")
-    slope = 2.0 / (params.p - 1.0) * params.kappa_root
+    slope = params.q * params.kappa_root
 
     # U_map is looked up in blowlab.model when called, where tracing and
     # fault injection replace it

@@ -13,7 +13,7 @@ rho = 0 (boundary condition).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +34,11 @@ _EPS = float(np.finfo(float).eps)
 class Params:
     """Model constants for fixed exponent p, blow-up time T and rate loss eps.
 
+    Only p, T and eps are set; the rest are derived from them when the
+    Params is made:
+    q        = 2/(p-1)             (self-similar exponent of psi^T)
     kappa0   = 2(p+1)/(p-1)^2
-    omega_tilde = 1/2 - 2/(p-1)   (free-part growth bound)
+    omega_tilde = 1/2 - q          (free-part growth bound)
     omega    = max(-1, omega_tilde)  (stable-subspace decay exponent)
     mu       = |omega| - eps         (weighted-norm decay rate)
     """
@@ -43,10 +46,19 @@ class Params:
     p: float
     T: float
     eps: float
-    kappa0: float
-    omega_tilde: float
-    omega: float
-    mu: float
+    q: float = field(init=False)
+    kappa0: float = field(init=False)
+    omega_tilde: float = field(init=False)
+    omega: float = field(init=False)
+    mu: float = field(init=False)
+
+    def __post_init__(self):
+        p, q = self.p, 2.0 / (self.p - 1.0)
+        omega = max(-1.0, 0.5 - q)
+        for name, value in dict(q=q, kappa0=2.0 * (p + 1.0) / (p - 1.0) ** 2,
+                                omega_tilde=0.5 - q, omega=omega,
+                                mu=abs(omega) - self.eps).items():
+            object.__setattr__(self, name, value)   # frozen: set once here
 
     @cached_property
     def kappa_root(self):
@@ -75,14 +87,10 @@ def params_new(p, T=1.0, eps=0.1):
         raise DomainError(f"p={p} out of range (1, 3]")
     if not 0.5 < T < 1.5:
         raise DomainError(f"T={T} out of range (1/2, 3/2)")
-    omega_tilde = 0.5 - 2.0 / (p - 1.0)
-    omega = max(-1.0, omega_tilde)
-    if not 0.0 < eps < abs(omega):
-        raise DomainError(f"eps={eps} out of range (0, |omega|={abs(omega)})")
-    kappa0 = 2.0 * (p + 1.0) / (p - 1.0) ** 2
-    return Params(p=float(p), T=float(T), eps=float(eps), kappa0=kappa0,
-                  omega_tilde=omega_tilde, omega=omega,
-                  mu=abs(omega) - float(eps))
+    params = Params(p=float(p), T=float(T), eps=float(eps))
+    if not 0.0 < eps < abs(params.omega):
+        raise DomainError(f"eps={eps} out of range (0, |omega|={abs(params.omega)})")
+    return params
 
 
 @dataclass(frozen=True)
@@ -117,15 +125,14 @@ def psi_T(params, t):
     """The space-homogeneous blow-up solution kappa0^(1/(p-1)) (T-t)^(-2/(p-1))."""
     if t >= params.T:
         raise DomainError(f"t={t} out of range: need t < T={params.T}")
-    return params.kappa_root * (params.T - t) ** (-2.0 / (params.p - 1.0))
+    return params.kappa_root * (params.T - t) ** -params.q
 
 
 def psi_T_t(params, t):
     """Time derivative of psi_T."""
     if t >= params.T:
         raise DomainError(f"t={t} out of range: need t < T={params.T}")
-    q = 2.0 / (params.p - 1.0)
-    return q * params.kappa_root * (params.T - t) ** (-q - 1.0)
+    return params.q * params.kappa_root * (params.T - t) ** (-params.q - 1.0)
 
 
 def nonlin_N(params, x):
@@ -231,7 +238,7 @@ def U_map(v, T, params, grid):
     scaled = T * rho
     interp = bary_interpolator(v.grid, scaled)
     vs = np.concatenate([interp(v.v1), interp(v.v2)])
-    amp = T ** (2.0 / (params.p - 1.0))
+    amp = T ** params.q
     u = amp * (vs + _kappa_pair(params, scaled)) - _kappa_pair(params, rho)
     u[0] = 0.0
     return u
@@ -250,7 +257,7 @@ def reconstruct_field(u, tau, params, grid):
     if tau < -np.log(T) - 1e-12:
         raise DomainError(f"tau={tau} out of range: need tau >= -log T")
     t = T - np.exp(-tau)
-    scale = (T - t) ** (-2.0 / (params.p - 1.0))
+    scale = (T - t) ** -params.q
     rho = grid.nodes
     phi1, phi2 = u[:grid.n], u[grid.n:]
     psi = psi_T(params, t) + scale * avg_A(grid, phi2)
@@ -331,5 +338,5 @@ def random_polynomial_data(grid, rng, params, amplitude=1e-3):
     pf = np.polyval(rng.standard_normal(4), r2)
     pg = np.polyval(rng.standard_normal(4), r2)
     f = k + amplitude * pf
-    g = 2.0 / (params.p - 1.0) * k + amplitude * pg
+    g = params.q * k + amplitude * pg
     return RadialPair(f=f, g=g, grid=grid)

@@ -64,7 +64,7 @@ def free_part(grid, params):
     boundary row: [[-rho D - c, D], [D, -rho D - c]], c = 2/(p-1)."""
     n = grid.n
     advect = -grid.nodes[:, None] * grid.D    # -diag(rho) D
-    advect.flat[::n + 1] -= 2.0 / (params.p - 1.0)
+    advect.flat[::n + 1] -= params.q
     return np.block([[advect, grid.D], [grid.D, advect]])
 
 
@@ -75,7 +75,7 @@ def assemble_L(grid, params):
     L = free_part(grid, params)
     L[:n, n:] += params.p * params.kappa0 * grid.V
     L[0, :] = 0.0
-    L[0, 0] = -max(_BOUNDARY_PENALTY, 2.0 / (params.p - 1.0) + 10.0)
+    L[0, 0] = -max(_BOUNDARY_PENALTY, params.q + 10.0)
     L.setflags(write=False)
     return OperatorMatrices(L=L, grid=grid, params=params)
 
@@ -331,7 +331,7 @@ def eigenfunction_analytic(lam, params, grid):
     """
     families = analytic_eigenvalues(params, params.omega_tilde + 1e-9)
     if not any(abs(lam - v) < 1e-9 for v in families):
-        if abs(lam - (1.0 - 2.0 / (params.p - 1.0))) < 1e-9:
+        if abs(lam - (1.0 - params.q)) < 1e-9:
             raise DomainError(
                 f"lam={lam} is the logarithmically degenerate point 1 - 2/(p-1)")
         raise DomainError(f"lam={lam} is not an analytic eigenvalue")

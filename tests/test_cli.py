@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism, fault hook."""
 
+import argparse
 import json
 import math
 import os
+import re
 import shlex
 import time
 from pathlib import Path
@@ -101,16 +103,42 @@ def test_commands_reject_options_they_do_not_read(capsys, args):
     assert f"unrecognized arguments: {args[1]}" in capsys.readouterr().err
 
 
+def _readme():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_command_lines():
+    block = _readme().split("## Command line\n", 1)[1].split("```\n")[1]
+    return [line for line in block.splitlines() if line.startswith("blowlab ")]
+
+
+def _options(command):
+    """The option strings the parser's `command` subparser accepts."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions
+            for s in a.option_strings} - {"-h", "--help"}
+
+
 def test_readme_command_lines_parse():
     # the README's examples name only commands and options the parser has;
     # they are parsed, not run
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line\n", 1)[1].split("```\n")[1]
-    lines = [line for line in block.splitlines()
-             if line.startswith("blowlab ")]
     commands = {build_parser().parse_args(shlex.split(line)[1:]).command
-                for line in lines}
+                for line in _readme_command_lines()}
     assert commands == {"spectrum", "evolve", "validate"}
+
+
+def test_readme_lists_every_evolve_option():
+    sentence = re.search(r"Its\s+options are (.+?`)\.", _readme(), re.S)
+    assert set(re.findall(r"`(--[\w-]+)`", sentence[1])) == _options("evolve")
+
+
+def test_readme_command_lines_spell_options_in_full():
+    # argparse takes a prefix of an option, so parsing alone lets a stale
+    # or shortened option name through
+    for line in _readme_command_lines():
+        words = shlex.split(line)
+        assert {w for w in words if w.startswith("--")} <= _options(words[1])
 
 
 @pytest.mark.parametrize("out, summary", [

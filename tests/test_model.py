@@ -1,6 +1,7 @@
 """Closed-form model objects: parameters, psi_T, nonlinearities, data maps,
 reconstruction, energy norm."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,6 +30,15 @@ def test_params_p2():
     assert p.omega_tilde == pytest.approx(-1.5)
     assert p.omega == pytest.approx(-1.0)
     assert p.mu == pytest.approx(0.9)
+
+
+def test_params_derives_constants_from_p():
+    # p, T and eps are the only inputs, so replacing p re-derives the rest
+    assert [f.name for f in dataclasses.fields(md.Params) if f.init] == [
+        "p", "T", "eps"]
+    moved, p2 = dataclasses.replace(md.params_new(3.0), p=2.0), md.params_new(2.0)
+    for name in ("q", "kappa0", "omega_tilde", "omega", "mu", "kappa_root"):
+        assert getattr(moved, name) == getattr(p2, name), name
 
 
 def test_params_domain_errors():
