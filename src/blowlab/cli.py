@@ -6,6 +6,9 @@ spectrum   eigenvalue quantization vs collocation spectrum, JSON report
 evolve     similarity-coordinate evolution (optionally tuning T), CSV + JSON
 validate   run every invariant suite, one line per check (JSON with --out)
 
+This is the one module that writes files: the other modules compute and
+return data, and `_write_csv` and `_write_json` hold the output formats.
+
 Exit codes: 0 ok, 1 validation failure, 2 domain error, 3 solver failure,
 4 overflow / perturbation too large.  All outputs are deterministic for a
 fixed seed.
@@ -30,6 +33,17 @@ from .errors import (AmplitudeAbort, DomainError, PerturbationTooLarge,
 from .grid import build_grid
 
 
+def _write_csv(path, header, fmt, *columns):
+    with open(path, "w") as fh:   # plain text even for a .gz path
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=header, comments="")
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
+
+
 def cmd_spectrum(args):
     params = md.params_new(args.p)
     coarse = build_grid(args.n)
@@ -37,8 +51,7 @@ def cmd_spectrum(args):
     ops = sp.assemble_L(coarse, params)
     report = sp.discrete_eigenvalues(ops, (coarse, fine))
     out = args.out or "spectrum.json"
-    with open(out, "w") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_json(out, dataclasses.asdict(report))
     stable = report.stable_eigenvalues()
     print(f"spectrum: p={args.p} n={coarse.n}/{fine.n} "
           f"analytic={report.analytic} stable={len(stable)} "
@@ -54,7 +67,7 @@ def _seeded_data(args, params):
     return md.data_to_v(fg, params)
 
 
-def _step_error(traj, ops, grid, params, proj):
+def _step_error(traj, ops, proj):
     """Relative state difference after the first 0.1 sample between the
     step h the run took there and h/2, or None for a run without that
     sample."""
@@ -62,17 +75,20 @@ def _step_error(traj, ops, grid, params, proj):
         return None
     h = next(iter(traj.step_counts))
     try:
-        half = ev.integrate(traj.states[0], 0.1, ops, grid, params,
+        half = ev.integrate(traj.states[0], 0.1, ops, ops.grid, ops.params,
                             nonlinear=True, dtau=0.5 * h, projection=proj)
     except AmplitudeAbort as exc:
         half = exc.trajectory
-    diff = md.state_norm(grid, traj.states[1] - half.states[1])
+    diff = md.state_norm(ops.grid, traj.states[1] - half.states[1])
     return diff / half.norms[1] if diff else 0.0
 
 
 def cmd_evolve(args):
     marks = [("start", time.perf_counter())]    # (phase, when it ended)
-    params = md.params_new(args.p, T=args.T)
+    if args.tune and args.T is not None:
+        raise DomainError("--T sets the blow-up time of an untuned run; "
+                          "--tune-T searches for it")
+    params = md.params_new(args.p, T=1.0 if args.T is None else args.T)
     grid = build_grid(args.n)
     ops = sp.assemble_L(grid, params)
     marks.append(("grid_operator", time.perf_counter()))
@@ -86,7 +102,7 @@ def cmd_evolve(args):
         t_star, traj = ev.tune_T(v, params, args.tau_end, grid, ops,
                                  projection=proj)
     else:
-        init = md.U_map(v, args.T, params, grid)
+        init = md.U_map(v, params.T, params, grid)
         try:
             traj = ev.integrate(init, args.tau_end, ops, grid, params,
                                 nonlinear=True, projection=proj)
@@ -96,12 +112,12 @@ def cmd_evolve(args):
             traj = exc.trajectory
             abort = exc
     marks.append(("solve", time.perf_counter()))
-    step_error = _step_error(traj, ops, grid, params, proj)
+    step_error = _step_error(traj, ops, proj)
     marks.append(("step_error", time.perf_counter()))
     summary = {
         "p": args.p, "n": args.n, "eps": params.eps, "seed": args.seed,
         "amplitude": args.amplitude, "tau_end": args.tau_end,
-        "T": args.T, "T_star": t_star,
+        "T": params.T, "T_star": t_star,
         "mu": params.mu, "rate": None, "fit_amplitude": None,
         "growth_rate": None, "xnorm_mu": None,
         "aborted_at": None if abort is None else float(traj.taus[-1]),
@@ -133,21 +149,24 @@ def cmd_evolve(args):
             pass
     marks.append(("fits", time.perf_counter()))
     out = args.out or "trajectory.csv"
-    traj.to_csv(out)
+    _write_csv(out, "tau,norm,unstable_coeff", ("%.10g", "%.17g", "%.17g"),
+               traj.taus, traj.norms, traj.unstable_coeffs)
     if args.field_out:
         # reconstructed physical field at the last sample; trajectory time
         # is the shifted variable, the unshifted one is tau - log T
-        T_used = t_star if t_star is not None else args.T
+        T_used = t_star if t_star is not None else params.T
         p_used = md.params_new(args.p, T=T_used)
         tau_phys = float(traj.taus[-1]) - math.log(T_used)
         rec = md.reconstruct_field(traj.states[-1], tau_phys, p_used, grid)
-        md.field_to_csv(rec, T_used - math.exp(-tau_phys), args.field_out)
+        _write_csv(args.field_out, "t,r,psi,psi_t",
+                   ("%.10g", "%.17g", "%.17g", "%.17g"),
+                   np.full(grid.n, T_used - math.exp(-tau_phys)),
+                   rec.grid.nodes, rec.f, rec.g)
     marks.append(("writes", time.perf_counter()))
     summary["timings"] = {f"{name}_s": end - start for (_, start), (name, end)
                           in zip(marks, marks[1:])}
     spath = os.path.splitext(out)[0] + ".summary.json"
-    with open(spath, "w") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+    _write_json(spath, summary)
     if abort is not None:
         print(f"evolve: partial trajectory to tau={traj.taus[-1]:.1f} "
               f"-> {out}, {spath}")
@@ -171,9 +190,7 @@ def cmd_validate(args):
     failures = sum(not res.ok for res in results)
     print(f"validate: {len(results) - failures}/{len(results)} checks passed")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps([dataclasses.asdict(res) for res in results],
-                                indent=2) + "\n")
+        _write_json(args.out, [dataclasses.asdict(res) for res in results])
     return 0 if failures == 0 else 1
 
 
@@ -197,7 +214,8 @@ def build_parser():
     p_ev.add_argument("--seed", type=int, default=0)
     p_ev.add_argument("--tau-end", type=float, default=10.0)
     p_ev.add_argument("--amplitude", type=float, default=1e-3)
-    p_ev.add_argument("--T", type=float, default=1.0)
+    p_ev.add_argument("--T", type=float, default=None,
+                      help="blow-up time of an untuned run (default 1)")
     p_ev.add_argument("--field-out", type=str, default="",
                       help="also write the reconstructed physical field at "
                            "the last sample (CSV t,r,psi,psi_t)")

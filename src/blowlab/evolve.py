@@ -163,13 +163,6 @@ class Trajectory:
         """Weighted sup-norm sup_tau exp(mu tau) ||Phi(tau)||."""
         return float(np.max(np.exp(mu * self.taus) * self.norms))
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:   # plain text even for a .gz path
-            np.savetxt(fh, np.column_stack((self.taus, self.norms,
-                                            self.unstable_coeffs)),
-                       fmt=("%.10g", "%.17g", "%.17g"), delimiter=",",
-                       header="tau,norm,unstable_coeff", comments="")
-
 
 def unstable_coefficient(u, projection):
     """Coefficient a with P u = a g: the projection functional l @ u."""

@@ -268,15 +268,6 @@ def reconstruct_field(u, tau, params, grid):
     return RadialPair(f=psi, g=psi_t, grid=r_grid)
 
 
-def field_to_csv(fg, t, path):
-    """Write a physical-space snapshot as CSV rows `t,r,psi,psi_t`."""
-    with open(path, "w") as fh:   # plain text even for a .gz path
-        np.savetxt(fh, np.column_stack((np.full(fg.grid.n, t),
-                                        fg.grid.nodes, fg.f, fg.g)),
-                   fmt=("%.10g", "%.17g", "%.17g", "%.17g"), delimiter=",",
-                   header="t,r,psi,psi_t", comments="")
-
-
 def energy_norm(fg):
     """Local energy norm on [0, R]:
     ||(f, g)||^2 = int_0^R |r f' + f|^2 dr + int_0^R r^2 |g|^2 dr.

@@ -30,9 +30,8 @@ grows with the window's roughly 1/(p - 1) eigenvalues and, at n = 96,
 passes that of a dense fine solve at 14 of them (p = 1.075).
 """
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,9 +190,6 @@ class SpectrumReport:
 
     def stable_eigenvalues(self):
         return [complex(d["re"], d["im"]) for d in self.discrete if d["stable"]]
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
 
 
 def _eigvals(matrix):

@@ -13,7 +13,7 @@ checks read the same quantity; one holds by construction: N(0) in
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,14 +28,19 @@ from .specfun import _connection_regular, _series
 @dataclass
 class CheckResult:
     """A check passes when lower <= value <= bound; `bound` is the upper
-    end and `lower` the lower one, None where a check has no such end."""
+    end and `lower` the lower one, None where a check has no such end.  A
+    NaN value fails."""
 
     suite: str
     name: str
     value: float
     bound: float | None
-    ok: bool
+    ok: bool = field(init=False)
     lower: float | None = None
+
+    def __post_init__(self):
+        self.ok = ((self.lower is None or self.lower <= self.value)
+                   and (self.bound is None or self.value <= self.bound))
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
@@ -53,19 +58,10 @@ def _worst(*values):
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _upper(suite, name, value, bound):
-    return CheckResult(suite, name, float(value), float(bound),
-                       bool(value <= bound))
-
-
-def _lower(suite, name, value, lo):
-    return CheckResult(suite, name, float(value), None, bool(value >= lo),
-                       float(lo))
-
-
-def _interval(suite, name, value, lo, hi):
-    return CheckResult(suite, name, float(value), float(hi),
-                       bool(lo <= value <= hi), float(lo))
+def _check(suite, name, value, bound=None, lower=None):
+    return CheckResult(suite, name, float(value),
+                       None if bound is None else float(bound),
+                       None if lower is None else float(lower))
 
 
 def suite_specfun(params, n, seed):
@@ -75,7 +71,7 @@ def suite_specfun(params, n, seed):
     xs = np.linspace(0.1, 30.0, 733)
     ident = _worst(*(abs(rgamma(x) * math.exp(math.lgamma(x)) - 1.0)
                      for x in xs))
-    out.append(_upper("specfun", "rgamma_lngamma_identity", ident, 1e-12))
+    out.append(_check("specfun", "rgamma_lngamma_identity", ident, 1e-12))
 
     # Gauss relation c [F(a,b;c) - F(a+1,b;c)] + b z F(a+1,b+1;c+1) = 0
     worst = 0.0
@@ -95,7 +91,7 @@ def suite_specfun(params, n, seed):
         scale = max(abs(c * f0), abs(c * f1), abs(b * z * f2), 1.0)
         worst = _worst(worst, abs(resid) / scale)
         count += 1
-    out.append(_upper("specfun", "contiguous_relation", worst, 1e-9))
+    out.append(_check("specfun", "contiguous_relation", worst, 1e-9))
 
     overlap = 0.0
     for _ in range(50):
@@ -109,7 +105,7 @@ def suite_specfun(params, n, seed):
         direct = _series(a, b, c, z)
         conn = _connection_regular(a, b, c, z)
         overlap = _worst(overlap, abs(direct - conn) / max(abs(direct), 1.0))
-    out.append(_upper("specfun", "series_connection_overlap", overlap, 1e-9))
+    out.append(_check("specfun", "series_connection_overlap", overlap, 1e-9))
     return out
 
 
@@ -119,12 +115,12 @@ def suite_lipschitz(params, n, seed):
     grid = build_grid(n)
     rng = np.random.default_rng(seed)
     out = []
-    out.append(_upper("lipschitz", "nonlin_N_at_zero",
+    out.append(_check("lipschitz", "nonlin_N_at_zero",
                       abs(md.nonlin_N(params, 0.0)), 1e-12))
     xs = np.linspace(-1.0, 1.0, 401)
     xs = xs[np.abs(xs) > 1e-3]
     quad = float(np.max(np.abs(md.nonlin_N(params, xs)) / xs**2))
-    out.append(_upper("lipschitz", "quadratic_bound_constant", quad, 100.0))
+    out.append(_check("lipschitz", "quadratic_bound_constant", quad, 100.0))
 
     lip = 0.0
     c1 = 0.0
@@ -141,8 +137,8 @@ def suite_lipschitz(params, n, seed):
         diff = norm(u - v)
         if diff > 1e-12:
             lip = _worst(lip, norm(nu - nv) / ((norm(u) + norm(v)) * diff))
-    out.append(_upper("lipschitz", "quadratic_smallness_constant", c1, 100.0))
-    out.append(_upper("lipschitz", "lipschitz_constant", lip, 100.0))
+    out.append(_check("lipschitz", "quadratic_smallness_constant", c1, 100.0))
+    out.append(_check("lipschitz", "lipschitz_constant", lip, 100.0))
     return out
 
 
@@ -162,8 +158,8 @@ def suite_model(params, n, seed):
             np.abs(iu[1:]) / np.sqrt(unit.nodes[1:])) - unorm))
         au = md.avg_A(unit, u)
         hardy = _worst(hardy, math.sqrt(unit.integrate(au**2)) / unorm)
-    out.append(_upper("model", "linfty_bound_violation", linfty, 1e-10))
-    out.append(_upper("model", "hardy_constant", hardy, 2.0))
+    out.append(_check("model", "linfty_bound_violation", linfty, 1e-10))
+    out.append(_check("model", "hardy_constant", hardy, 2.0))
 
     cone = build_grid(n, 1.5)
     homog = 0.0
@@ -177,8 +173,8 @@ def suite_model(params, n, seed):
         homog = _worst(homog, abs(md.energy_norm(scaled) - abs(lam) * na))
         summed = md.RadialPair(f=fa.f + fb.f, g=fa.g + fb.g, grid=cone)
         triangle = _worst(triangle, md.energy_norm(summed) - (na + nb))
-    out.append(_upper("model", "energy_homogeneity", homog, 1e-9))
-    out.append(_upper("model", "energy_triangle_violation", triangle, 1e-10))
+    out.append(_check("model", "energy_homogeneity", homog, 1e-9))
+    out.append(_check("model", "energy_triangle_violation", triangle, 1e-10))
 
     # U(v, T) = T^q [v(T rho) + kappa(T rho)] - kappa(rho) in closed form
     # for polynomial v (scaled by k); T != 1 and v != 0 make U_map
@@ -196,7 +192,7 @@ def suite_model(params, n, seed):
     exact = T**q * (v_at(T * rho) + kappa_at(T * rho)) - kappa_at(rho)
     umap = md.U_map(md.DataPair(v1=vs[:n], v2=vs[n:], grid=cone), T, params,
                     unit)
-    out.append(_upper("model", "U_map_closed_form",
+    out.append(_check("model", "U_map_closed_form",
                       np.abs(umap - exact).max() / np.abs(exact).max(),
                       1e-12))
 
@@ -210,8 +206,8 @@ def suite_model(params, n, seed):
         fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3]
               - vals[4]) / (12 * h * h)
         errs.append(abs(fd - exact))
-    out.append(_interval("model", "psi_T_ode_fd_order", errs[0] / errs[1],
-                         12.0, 20.0))
+    out.append(_check("model", "psi_T_ode_fd_order", errs[0] / errs[1],
+                      20.0, lower=12.0))
     return out
 
 
@@ -234,20 +230,20 @@ def suite_spectral(params, n, seed):
     n_fine = max(n, 96)
     gc, gf = build_grid(64), build_grid(n_fine)
     rho = gf.nodes
-    out.append(_upper("spectral", "grid_diff_rho2",
+    out.append(_check("spectral", "grid_diff_rho2",
                       float(np.abs(gf.D @ rho**2 - 2 * rho).max()), 1e-10))
-    out.append(_upper("spectral", "grid_volterra_const",
+    out.append(_check("spectral", "grid_volterra_const",
                       float(np.abs(gf.V @ np.ones(n_fine) - rho).max()), 1e-10))
 
     ops_f = sp.assemble_L(gf, params)
     gvec = sp.symmetry_mode(gf, params)
-    out.append(_upper("spectral", "symmetry_mode_residual",
+    out.append(_check("spectral", "symmetry_mode_residual",
                       md.state_norm(gf, ops_f.L @ gvec - gvec), 1e-10))
 
     proj = sp.riesz_projection(ops_f)
-    out.append(_upper("spectral", "projection_idempotency",
+    out.append(_check("spectral", "projection_idempotency",
                       proj.idempotency_defect, 1e-8))
-    out.append(_upper("spectral", "projection_commutator",
+    out.append(_check("spectral", "projection_commutator",
                       _commutator_norm(ops_f.L, gvec, proj.functional), 1e-8))
 
     # each stable eigenvalue claims the nearest analytic one not yet
@@ -259,7 +255,7 @@ def suite_spectral(params, n, seed):
         match = min(free, key=lambda a: abs(lam - a), default=math.inf)
         free = [a for a in free if a != match]
         agree = _worst(agree, abs(lam - match))
-    out.append(_upper("spectral", "quantization_agreement", agree, 1e-5))
+    out.append(_check("spectral", "quantization_agreement", agree, 1e-5))
 
     # Wronskian of the fundamental pair of the eigenvalue-1 equation
     q = (params.p + 1.0) / (params.p - 1.0)
@@ -275,7 +271,7 @@ def suite_spectral(params, n, seed):
             + (1 - z) ** (-expo) * dh1t
         wron = r * dh1 - h1
         worst = _worst(worst, abs(wron * (1 - z) ** (q) + 1.0))
-    out.append(_upper("spectral", "wronskian_identity", worst, 1e-6))
+    out.append(_check("spectral", "wronskian_identity", worst, 1e-6))
 
     rng = np.random.default_rng(seed)
     L0 = sp.free_part(gf, params)
@@ -285,7 +281,7 @@ def suite_spectral(params, n, seed):
         lhs = md.state_inner(gf, L0 @ u, u)
         diss = _worst(diss, lhs - params.omega_tilde
                       * md.state_inner(gf, u, u))
-    out.append(_upper("spectral", "free_part_dissipativity", diss, 1e-8))
+    out.append(_check("spectral", "free_part_dissipativity", diss, 1e-8))
     return out
 
 
@@ -303,7 +299,7 @@ def suite_rhs(params, n, seed):
         n_of_one = float((k + 1) ** p - k ** p - p * k ** (p - 1))
     oracle = np.concatenate([grid.nodes * n_of_one, np.zeros(n)])
     oracle[0] = 0.0
-    out.append(_upper("rhs", "nonlinear_term_oracle",
+    out.append(_check("rhs", "nonlinear_term_oracle",
                       float(np.abs(extra - oracle).max()), 1e-10))
     return out
 
@@ -326,7 +322,7 @@ def suite_integrator(params, n, seed):
             for h in (1e-2, 5e-3, 2.5e-3)]
     ratio = (md.state_norm(g32, ends[0] - ends[1])
              / md.state_norm(g32, ends[1] - ends[2]))
-    return [_interval("integrator", "richardson_ratio", ratio, 12.0, 20.0)]
+    return [_check("integrator", "richardson_ratio", ratio, 20.0, lower=12.0)]
 
 
 def suite_evolve(params, n, seed):
@@ -345,27 +341,27 @@ def suite_evolve(params, n, seed):
     traj = ev.integrate(u, 6.0, ops, grid, params, nonlinear=False,
                         projection=proj)
     grate = ev.growth_fit(traj.taus, traj.unstable_coeffs, (1.0, 5.0))
-    out.append(_interval("evolve", "unstable_coefficient_growth_rate",
-                         grate, 0.95, 1.05))
+    out.append(_check("evolve", "unstable_coefficient_growth_rate",
+                      grate, 1.05, lower=0.95))
 
     # linear decay on the stable subspace
     stable = u - (proj.functional @ u) * sp.symmetry_mode(grid, params)
     trajd = ev.integrate(stable, tau_end, ops, grid, params,
                          nonlinear=False, projection=proj)
     rate, _ = ev.decay_fit(trajd, (2.0, tau_end))
-    out.append(_lower("evolve", "stable_subspace_decay_rate", rate,
-                      abs(params.omega) - 0.15))
+    out.append(_check("evolve", "stable_subspace_decay_rate", rate,
+                      lower=abs(params.omega) - 0.15))
 
     # tuned run: weighted boundedness, early attainment, zero-correction
     fg = md.random_polynomial_data(gdata, rng, params, amplitude=1e-3)
     v = md.data_to_v(fg, params)
     _, tuned = ev.tune_T(v, params, tau_end, grid, ops, projection=proj)
     weighted = np.exp(params.mu * tuned.taus) * tuned.norms
-    out.append(_upper("evolve", "xnorm_attained_at_small_tau",
+    out.append(_check("evolve", "xnorm_attained_at_small_tau",
                       float(tuned.taus[int(np.argmax(weighted))]), 1.0))
-    out.append(_upper("evolve", "xnorm_over_initial",
+    out.append(_check("evolve", "xnorm_over_initial",
                       float(weighted.max() / tuned.norms[0]), 10.0))
-    out.append(_upper("evolve", "zero_correction_identity",
+    out.append(_check("evolve", "zero_correction_identity",
                       ev.correction_residual(tuned, ops, proj), 1e-4))
 
     # decay-fit rate stability under grid refinement
@@ -377,7 +373,7 @@ def suite_evolve(params, n, seed):
                           projection=proj2)
     r1, _ = ev.decay_fit(tuned, (2.0, tau_end - 1.0))
     r2, _ = ev.decay_fit(tuned2, (2.0, tau_end - 1.0))
-    out.append(_upper("evolve", "refinement_rate_drift", abs(r1 - r2), 0.02))
+    out.append(_check("evolve", "refinement_rate_drift", abs(r1 - r2), 0.02))
     return out
 
 

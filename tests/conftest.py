@@ -2,8 +2,6 @@
 
 from functools import lru_cache
 
-import pytest
-
 from blowlab.grid import build_grid
 from blowlab.model import params_new
 from blowlab.spectral import assemble_L, riesz_projection
@@ -78,22 +76,3 @@ def record_calls(monkeypatch, owner, name, key):
     monkeypatch.setattr(owner, name, recording)
     return calls
 
-
-@pytest.fixture(scope="session")
-def params3():
-    return cached_params(3.0)
-
-
-@pytest.fixture(scope="session")
-def params2():
-    return cached_params(2.0)
-
-
-@pytest.fixture(scope="session")
-def grid64():
-    return cached_grid(64)
-
-
-@pytest.fixture(scope="session")
-def grid96():
-    return cached_grid(96)

@@ -12,6 +12,7 @@ import pytest
 from blowlab import evolve as ev
 from blowlab import model as md
 from blowlab import spectral as sp
+from blowlab.cli import main
 from blowlab.errors import (AmplitudeAbort, DomainError, OverflowAbort,
                             PerturbationTooLarge, SolverError)
 from conftest import (cached_grid, cached_ops, cached_params,
@@ -1017,12 +1018,20 @@ def test_integrate_aborts_on_nan(nonlinear):
                      projection=proj)
 
 
-def test_field_csv_format(tmp_path):
-    params, grid, _, _ = _setup()
-    rec = md.reconstruct_field(np.zeros(96), 0.2, params, grid)
-    t = 1.0 - math.exp(-0.2)
+def test_field_csv_format(tmp_path, monkeypatch):
+    # the --field-out file of a zero-data run, whose last sample at
+    # tau = 0.2 is the background psi^T at T = 1
+    calls = record_calls(monkeypatch, md, "reconstruct_field",
+                         lambda *args: args)
     path = tmp_path / "field.csv"
-    md.field_to_csv(rec, t, path)
+    assert main(["evolve", "--p", "3", "--n", "48", "--amplitude", "0",
+                 "--no-tune", "--tau-end", "0.2",
+                 "--out", str(tmp_path / "traj.csv"),
+                 "--field-out", str(path)]) == 0
+    params = cached_params(3.0)
+    t = 1.0 - math.exp(-0.2)
+    [args] = calls
+    rec = md.reconstruct_field(*args)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,r,psi,psi_t"
     assert len(lines) == 49
@@ -1037,14 +1046,17 @@ def test_field_csv_format(tmp_path):
         assert [float(x) for x in row[1:]] == [r, psi, psi_t]
 
 
-def test_trajectory_csv_format(tmp_path):
-    params, grid, ops, proj = _setup()
-    rng = np.random.default_rng(5)
-    u = md.random_polynomial_state(grid, rng, amplitude=1e-4)
-    tr = ev.integrate(u, 1.0, ops, grid, params, nonlinear=True,
-                      projection=proj)
+def test_trajectory_csv_format(tmp_path, monkeypatch):
+    # the --out file of an untuned run; the first integrate call is the
+    # run, the second the summary's step-halving estimate
+    calls = record_calls(monkeypatch, ev, "integrate",
+                         lambda *args, **kwargs: (args, kwargs))
     path = tmp_path / "traj.csv"
-    tr.to_csv(path)
+    command = ["evolve", "--p", "3", "--n", "48", "--amplitude", "1e-4",
+               "--seed", "5", "--no-tune", "--tau-end", "1"]
+    assert main(command + ["--out", str(path)]) == 0
+    args, kwargs = calls[0]
+    tr = ev.integrate(*args, **kwargs)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,norm,unstable_coeff"
     assert len(lines) == tr.taus.size + 1
@@ -1059,5 +1071,5 @@ def test_trajectory_csv_format(tmp_path):
         assert [float(x) for x in row[1:]] == [nrm, a]
     # a path ending in .gz gets the same plain text
     gz = tmp_path / "traj.csv.gz"
-    tr.to_csv(gz)
+    assert main(command + ["--out", str(gz)]) == 0
     assert gz.read_text() == path.read_text()

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from blowlab import grid as gr
 from blowlab import spectral as sp
 from blowlab import validate as vl
+from blowlab.cli import main
 from blowlab.errors import DomainError
 from blowlab.grid import build_grid
 from blowlab.model import (params_new, random_polynomial_state, state_inner,
@@ -385,10 +386,11 @@ def test_suite_spectral_projection_checks_pass_near_p_one(p):
     assert checks == dict.fromkeys(names, True)
 
 
-def test_spectrum_report_json_schema():
-    ops = cached_ops(3.0, 64)
-    report = sp.discrete_eigenvalues(ops, (cached_grid(64), cached_grid(96)))
-    doc = json.loads(report.to_json())
+def test_spectrum_report_json_schema(tmp_path):
+    # the report as the spectrum command writes it
+    out = tmp_path / "s.json"
+    assert main(["spectrum", "--p", "3", "--n", "64", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
     assert set(doc) == {"p", "n_coarse", "n_fine", "analytic", "discrete",
                         "projection_rank", "projection_defect", "timings"}
     assert doc["n_coarse"] == 64 and doc["n_fine"] == 96

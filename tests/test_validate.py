@@ -55,14 +55,16 @@ def test_all_nan_samples_fail_their_checks(monkeypatch):
 def test_lines_show_both_ends_of_a_range():
     # a ratio below its range fails and names the range's lower end; a
     # lower bound reads as a half-open range, an upper one as before
-    low = vl._interval("integrator", "richardson_ratio", 11.0, 12.0, 20.0)
+    low = vl._check("integrator", "richardson_ratio", 11.0, 20.0,
+                    lower=12.0)
     assert not low.ok
     assert low.line() == ("FAIL integrator/richardson_ratio: value=11 "
                           "bound=[12, 20]")
-    rate = vl._lower("evolve", "stable_subspace_decay_rate", 0.99, 0.35)
+    rate = vl._check("evolve", "stable_subspace_decay_rate", 0.99,
+                     lower=0.35)
     assert rate.line() == ("PASS evolve/stable_subspace_decay_rate: "
                            "value=0.99 bound=[0.35, inf)")
-    assert vl._upper("rhs", "x", 2.0, 1.0).line() == ("FAIL rhs/x: value=2 "
+    assert vl._check("rhs", "x", 2.0, 1.0).line() == ("FAIL rhs/x: value=2 "
                                                       "bound=1")
     for res in (low, rate):
         assert res.ok == ((res.lower is None or res.lower <= res.value)
